@@ -258,7 +258,8 @@ ShardedRun RunShardedDays(const Options& opt, std::int32_t shards,
   // the fingerprint.
   config.adaptive_epoch = true;
 
-  core::ShardedDayConfig day;
+  core::ArrayDayConfig day;
+  day.chunk = config.epoch;  // a fleet generates on its barrier grid
   day.seed = 0xE2E5;
   day.synthetic.write_fraction = 0.3;
   if (opt.quick) {
@@ -279,7 +280,7 @@ ShardedRun RunShardedDays(const Options& opt, std::int32_t shards,
   ShardedRun run;
   core::ShardedSystem system(config);
   bench::CheckOk(system.Start(), "sharded start");
-  core::ShardedDayRunner runner(&system, day);
+  core::ArrayDayRunner runner(&system, day);
   const auto start = std::chrono::steady_clock::now();
   std::vector<core::DayMetrics> measured;
   measured.push_back(

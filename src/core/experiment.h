@@ -7,6 +7,7 @@
 
 #include "analyzer/exact_counter.h"
 #include "core/adaptive_system.h"
+#include "core/day_runner.h"
 #include "core/metrics.h"
 #include "disk/drive_spec.h"
 #include "fs/file_server.h"
@@ -53,10 +54,10 @@ struct ExperimentConfig {
 /// days of file-server traffic; at the end of each day the reference
 /// counts collected during that day either drive a rearrangement for the
 /// next day ("on") or the reserved area is emptied ("off").
-class Experiment {
+class Experiment : public DayRunner {
  public:
   explicit Experiment(ExperimentConfig config);
-  ~Experiment();
+  ~Experiment() override;
 
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
@@ -69,11 +70,11 @@ class Experiment {
   /// Statistics are cleared at day start; reference counts accumulate for
   /// the end-of-day decision. The metrics carry the ArrangeResult of the
   /// pass that prepared the day (see DayMetrics::arrange).
-  StatusOr<DayMetrics> RunMeasuredDay();
+  StatusOr<DayMetrics> RunMeasuredDay() override;
 
   /// Uses the day's counts to rearrange blocks for the next day, then
   /// resets the counts.
-  Status RearrangeForNextDay();
+  Status RearrangeForNextDay() override;
 
   /// Result of the most recent RearrangeForNextDay()/CleanForNextDay()
   /// pass; also attached to the next RunMeasuredDay() metrics.
@@ -84,16 +85,18 @@ class Experiment {
   /// Continuous-mode "on" day: opens a utility-priced plan from the day's
   /// counts instead of running a batch pass; the plan executes during the
   /// next day's idle time and its outcome lands in that day's metrics.
-  Status OpenContinuousPlanForNextDay();
+  Status OpenContinuousPlanForNextDay() override;
 
   /// Empties the reserved area for an "off" day, then resets the counts.
-  Status CleanForNextDay();
+  Status CleanForNextDay() override;
+
+  bool continuous() const override { return config_.system.continuous; }
 
   /// Applies day-to-day workload drift; call once per day boundary.
-  void AdvanceWorkloadDay() { workload_->EndDay(); }
+  void AdvanceWorkloadDay() override { workload_->EndDay(); }
 
   /// Changes how many blocks the next rearrangement moves.
-  void set_rearrange_blocks(std::int32_t n);
+  void set_rearrange_blocks(std::int32_t n) override;
 
   // --- Accessors ----------------------------------------------------------
 

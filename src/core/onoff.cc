@@ -31,29 +31,36 @@ StatusOr<OnOffResult> RunOnOff(Experiment& experiment,
 
 StatusOr<OnOffResult> RunOnOffDays(Experiment& experiment,
                                    std::int32_t days_per_side) {
+  return RunOnOffLoop(experiment, days_per_side);
+}
+
+StatusOr<OnOffResult> RunOnOffLoop(DayRunner& runner,
+                                   std::int32_t days_per_side,
+                                   const std::function<Status()>& after_day) {
   // Warm-up day: traffic and monitoring only; its counts seed the first
-  // rearrangement if day 0 is an "on" day (it is not — we start "off", as
-  // the paper's Table 3 does).
-  StatusOr<DayMetrics> warmup = experiment.RunMeasuredDay();
+  // rearrangement if day 0 is an "on" day (it is not — we start "off").
+  StatusOr<DayMetrics> warmup = runner.RunMeasuredDay();
   if (!warmup.ok()) return warmup.status();
+  if (after_day) ABR_RETURN_IF_ERROR(after_day());
 
   OnOffResult result;
   const std::int32_t total_days = 2 * days_per_side;
   for (std::int32_t i = 0; i < total_days; ++i) {
     const bool on = (i % 2) == 1;
     if (on) {
-      if (experiment.system().config().continuous) {
-        ABR_RETURN_IF_ERROR(experiment.OpenContinuousPlanForNextDay());
+      if (runner.continuous()) {
+        ABR_RETURN_IF_ERROR(runner.OpenContinuousPlanForNextDay());
       } else {
-        ABR_RETURN_IF_ERROR(experiment.RearrangeForNextDay());
+        ABR_RETURN_IF_ERROR(runner.RearrangeForNextDay());
       }
     } else {
-      ABR_RETURN_IF_ERROR(experiment.CleanForNextDay());
+      ABR_RETURN_IF_ERROR(runner.CleanForNextDay());
     }
-    experiment.AdvanceWorkloadDay();
-    StatusOr<DayMetrics> day = experiment.RunMeasuredDay();
+    runner.AdvanceWorkloadDay();
+    StatusOr<DayMetrics> day = runner.RunMeasuredDay();
     if (!day.ok()) return day.status();
     (on ? result.on_days : result.off_days).push_back(std::move(day.value()));
+    if (after_day) ABR_RETURN_IF_ERROR(after_day());
   }
   return result;
 }

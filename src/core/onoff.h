@@ -1,8 +1,10 @@
 #ifndef ABR_CORE_ONOFF_H_
 #define ABR_CORE_ONOFF_H_
 
+#include <functional>
 #include <vector>
 
+#include "core/day_runner.h"
 #include "core/experiment.h"
 #include "core/metrics.h"
 #include "stats/summary.h"
@@ -36,11 +38,19 @@ struct OnOffResult {
                               Slice slice);
 };
 
-/// Runs the on/off protocol of Sections 5.2–5.3: a warm-up day (counts
-/// only), then `days_per_side` "off" days alternating with `days_per_side`
-/// "on" days. On-day rearrangements always use the reference counts of the
-/// immediately preceding day, as the paper's daily procedure does. The
-/// experiment must not have been set up yet (RunOnOff calls Setup()).
+/// Runs the on/off protocol of Sections 5.2–5.3 on any day runner: a
+/// warm-up day (counts only), then `days_per_side` "off" days alternating
+/// with `days_per_side` "on" days, starting "off" as the paper's Table 3
+/// does. On-day rearrangements (or continuous plans) always use the
+/// reference counts of the immediately preceding day, as the paper's daily
+/// procedure does. `after_day`, when set, runs after every measured day,
+/// the warm-up included (the array's reattach maintenance).
+StatusOr<OnOffResult> RunOnOffLoop(
+    DayRunner& runner, std::int32_t days_per_side,
+    const std::function<Status()>& after_day = nullptr);
+
+/// The protocol on a serial experiment that has not been set up yet
+/// (RunOnOff calls Setup()).
 StatusOr<OnOffResult> RunOnOff(Experiment& experiment,
                                std::int32_t days_per_side);
 

@@ -1,43 +1,11 @@
 #include "core/sharded_system.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "sim/lookahead.h"
 
 namespace abr::core {
-
-namespace {
-
-/// Seconds elapsed since `t0` on the host clock (barrier stall/merge
-/// accounting only — never simulation state).
-double WallSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Field-by-field fold of one member's pass into the fleet total (shard
-/// order, so the total is deterministic).
-void FoldInto(placement::ArrangeResult& total,
-              const placement::ArrangeResult& r) {
-  total.cleaned += r.cleaned;
-  total.copied += r.copied;
-  total.skipped += r.skipped;
-  total.aborted += r.aborted;
-  total.kept += r.kept;
-  total.shuffled += r.shuffled;
-  total.evicted += r.evicted;
-  total.admitted += r.admitted;
-  total.deferred += r.deferred;
-  total.halted = total.halted || r.halted;
-  total.internal_ios += r.internal_ios;
-  total.io_time += r.io_time;
-}
-
-}  // namespace
-
-// --- ShardedSystem ---------------------------------------------------------
 
 void ShardedSystem::Shard::OnIoComplete(const sim::CompletedIo& done) {
   if (owner->merge_sink_ == nullptr) return;
@@ -46,7 +14,7 @@ void ShardedSystem::Shard::OnIoComplete(const sim::CompletedIo& done) {
 
 ShardedSystem::ShardedSystem(const ShardedSystemConfig& config, Deps deps)
     : config_(config),
-      map_(std::max<std::int32_t>(1, config.shards), 0),
+      map_(std::max<std::int32_t>(1, config.shards), 1, 0),
       merger_(std::max<std::int32_t>(1, config.shards)) {
   config_.shards = std::max<std::int32_t>(1, config_.shards);
   config_.threads = std::max<std::int32_t>(1, config_.threads);
@@ -73,8 +41,8 @@ ShardedSystem::ShardedSystem(const ShardedSystemConfig& config, Deps deps)
     init_error_ = Status::InvalidArgument("block smaller than a sector");
     return;
   }
-  map_ = sim::ShardMap(
-      config_.shards,
+  map_ = sim::StripeMap(
+      config_.shards, /*chunk_blocks=*/1,
       member_label_.partitions()[0].sector_count / block_sectors);
 
   const bool external = !deps.disks.empty() || !deps.stores.empty();
@@ -105,258 +73,53 @@ ShardedSystem::ShardedSystem(const ShardedSystemConfig& config, Deps deps)
     shards_.push_back(std::move(shard));
   }
 
-  if (config_.threads > 1 && config_.shards > 1) {
-    pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(
-        std::min(config_.threads, config_.shards)));
-  }
+  Timing timing;
+  timing.members = config_.shards;
+  timing.threads = config_.threads;
+  timing.epoch = config_.epoch;
+  timing.adaptive_epoch = config_.adaptive_epoch;
+  timing.max_epoch_grids = config_.max_epoch_grids;
+  timing.lookahead_floor = sim::LookaheadFloor(config_.drive.geometry);
+  InitEngine(timing);
 }
 
 ShardedSystem::~ShardedSystem() = default;
 
 Status ShardedSystem::Start(bool after_crash) {
   if (!init_error_.ok()) return init_error_;
-  if (started_) return Status::FailedPrecondition("Start() already ran");
+  if (started()) return Status::FailedPrecondition("Start() already ran");
   for (auto& shard : shards_) {
     ABR_RETURN_IF_ERROR(shard->system->Start(after_crash));
     shard->system->driver().set_client_sink(shard.get());
   }
-  started_ = true;
-  advanced_to_ = now();
-  last_submit_time_ = advanced_to_;
+  MarkStarted(/*submit_floor=*/now());
   return Status::Ok();
 }
 
 Status ShardedSystem::SubmitBatch(const workload::TraceRecord* records,
                                   std::size_t n) {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
   for (std::size_t i = 0; i < n; ++i) {
     const workload::TraceRecord& rec = records[i];
-    if (rec.device != 0) {
-      return Status::InvalidArgument("sharded device has one partition");
-    }
-    if (!map_.Contains(rec.block)) {
-      return Status::OutOfRange("block outside the virtual device");
-    }
-    if (rec.time < last_submit_time_) {
-      return Status::InvalidArgument("requests must be time-ordered");
-    }
-    last_submit_time_ = rec.time;
+    ABR_RETURN_IF_ERROR(CheckSubmit(rec));
     workload::TraceRecord local = rec;
     local.block = map_.LocalOf(rec.block);
-    shards_[static_cast<std::size_t>(map_.ShardOf(rec.block))]
-        ->pending.push_back(local);
+    Stage(map_.MemberOf(rec.block), local);
   }
   return Status::Ok();
 }
 
-void ShardedSystem::FlushPending() {
-  for (auto& shard : shards_) {
-    if (shard->pending.empty()) continue;
-    shard->run_queue.insert(shard->run_queue.end(), shard->pending.begin(),
-                            shard->pending.end());
-    shard->pending.clear();
-  }
+driver::AdaptiveDriver* ShardedSystem::StepDriver(std::int32_t member) const {
+  // A crashed member is still stepped: its queued requests are lost and
+  // its monitors keep ticking, like a dead machine in a live fleet.
+  return &shards_[static_cast<std::size_t>(member)]->system->driver();
 }
 
-void ShardedSystem::StepShard(Shard& shard, Micros from, Micros target,
-                              Micros grid) {
-  shard.step_status = Status::Ok();
-  driver::AdaptiveDriver& drv = shard.system->driver();
-  std::vector<workload::TraceRecord>& q = shard.run_queue;
-  // A window covers whole grids; replay them one at a time so a multi-grid
-  // adaptive window computes exactly what the fixed-epoch oracle's
-  // grid-by-grid steps would: submissions due by each boundary, an advance
-  // to it, and the monitoring tick that lives there (the grid ~= the
-  // paper's 2-minute period).
-  Micros boundary = from;
-  do {
-    boundary = (target - boundary <= grid) ? target : boundary + grid;
-    std::size_t run_end = shard.run_cursor;
-    while (run_end < q.size() && q[run_end].time <= boundary) ++run_end;
-    // Hand the whole grid run to the driver in one batch: it bulk-loads
-    // the scheduler across busy spans and falls back to the per-record
-    // path whenever an idle sink is armed. A crashed member is a dead
-    // machine — its requests are simply lost, with no stats recorded.
-    if (run_end > shard.run_cursor && !drv.halted()) {
-      std::vector<driver::AdaptiveDriver::BlockRequest>& batch =
-          shard.submit_batch;
-      batch.clear();
-      batch.reserve(run_end - shard.run_cursor);
-      for (std::size_t k = shard.run_cursor; k < run_end; ++k) {
-        const workload::TraceRecord& rec = q[k];
-        batch.push_back({rec.device, rec.block, rec.type, rec.time});
-      }
-      Status st = drv.SubmitBlockBatch(batch.data(), batch.size());
-      if (!st.ok()) {
-        shard.run_cursor = run_end;
-        shard.step_status = st;
-        return;
-      }
-    }
-    shard.run_cursor = run_end;
-    if (!drv.halted() && boundary > drv.now()) drv.AdvanceTo(boundary);
-    shard.system->PeriodicTick(std::max(boundary, drv.now()));
-  } while (boundary < target);
-  if (shard.run_cursor == q.size()) {
-    q.clear();
-    shard.run_cursor = 0;
-  } else if (shard.run_cursor > 4096 && shard.run_cursor * 2 > q.size()) {
-    q.erase(q.begin(),
-            q.begin() + static_cast<std::ptrdiff_t>(shard.run_cursor));
-    shard.run_cursor = 0;
-  }
+void ShardedSystem::OnBoundary(std::int32_t member, Micros t) {
+  AdaptiveSystem& sys = *shards_[static_cast<std::size_t>(member)]->system;
+  sys.PeriodicTick(std::max(t, sys.driver().now()));
 }
 
-template <typename Fn>
-void ShardedSystem::ForEachShard(Fn&& fn) {
-  if (pool_ != nullptr) {
-    step_futures_.clear();
-    for (auto& shard : shards_) {
-      Shard* p = shard.get();
-      step_futures_.push_back(pool_->Submit([&fn, p]() { fn(*p); }));
-    }
-    for (auto& f : step_futures_) f.get();
-    step_futures_.clear();
-  } else {
-    for (auto& shard : shards_) fn(*shard);
-  }
-}
-
-Micros ShardedSystem::FaultEventBound() const {
-  Micros bound = disk::kNoFaultEvent;
-  for (const auto& shard : shards_) {
-    const driver::AdaptiveDriver& drv = shard->system->driver();
-    // A crashed member is a dead machine in a live fleet: it services
-    // nothing, so its remaining plan cannot produce events.
-    if (drv.halted()) continue;
-    bound = std::min(bound, drv.NextFaultEventBound());
-  }
-  return bound;
-}
-
-Micros ShardedSystem::PlanStepEnd(Micros t) const {
-  if (t < advanced_to_) t = advanced_to_;
-  if (!config_.adaptive_epoch) {
-    return std::min(t, advanced_to_ + config_.epoch);
-  }
-  // One grid is always admissible (it is exactly the fixed oracle's step);
-  // extensions must stay provably event-free, and nothing can cross
-  // members faster than the lookahead floor.
-  const Micros bound =
-      std::max(FaultEventBound(),
-               advanced_to_ + sim::LookaheadFloor(config_.drive.geometry));
-  return sim::PlanWindowEnd(advanced_to_, config_.epoch, t, bound,
-                            std::max<std::int32_t>(1, config_.max_epoch_grids));
-}
-
-Status ShardedSystem::BeginStep(Micros t) {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
-  if (step_active_) return Status::FailedPrecondition("step already active");
-  step_target_ = PlanStepEnd(t);
-  FlushPending();
-  ++barriers_;
-  step_active_ = true;
-  if (config_.adaptive_epoch) {
-    // Bank the previous window's completions and hand the workers fresh
-    // lanes; the merge below then overlaps their execution.
-    merger_.StageLanes();
-  }
-  if (pool_ != nullptr) {
-    step_futures_.clear();
-    const Micros from = advanced_to_;
-    const Micros target = step_target_;
-    const Micros grid = config_.epoch;
-    for (auto& shard : shards_) {
-      Shard* p = shard.get();
-      step_futures_.push_back(pool_->Submit(
-          [p, from, target, grid]() { StepShard(*p, from, target, grid); }));
-    }
-  }
-  if (config_.adaptive_epoch) {
-    const auto t0 = std::chrono::steady_clock::now();
-    merger_.DrainStaged(merge_sink_);
-    merge_wall_ += WallSince(t0);
-  }
-  return Status::Ok();
-}
-
-Status ShardedSystem::EndStep() {
-  if (!step_active_) return Status::FailedPrecondition("no active step");
-  if (pool_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (auto& f : step_futures_) f.get();
-    stall_wall_ += WallSince(t0);
-    step_futures_.clear();
-  } else {
-    for (auto& shard : shards_) {
-      StepShard(*shard, advanced_to_, step_target_, config_.epoch);
-    }
-  }
-  step_active_ = false;
-  advanced_to_ = step_target_;
-  if (!config_.adaptive_epoch) {
-    const auto t0 = std::chrono::steady_clock::now();
-    merger_.DrainInto(merge_sink_);
-    merge_wall_ += WallSince(t0);
-  }
-  for (const auto& shard : shards_) {
-    if (!shard->step_status.ok()) return shard->step_status;
-  }
-  return Status::Ok();
-}
-
-Status ShardedSystem::AdvanceTo(Micros t) {
-  while (advanced_to_ < t) {
-    ABR_RETURN_IF_ERROR(BeginStep(t));
-    ABR_RETURN_IF_ERROR(EndStep());
-  }
-  if (config_.adaptive_epoch) {
-    // Flush the last window's banked completions so the public contract —
-    // the sink has everything up to advanced_to_ when AdvanceTo returns —
-    // holds in both epoch modes.
-    const auto t0 = std::chrono::steady_clock::now();
-    merger_.DrainInto(merge_sink_);
-    merge_wall_ += WallSince(t0);
-  }
-  return Status::Ok();
-}
-
-StatusOr<Micros> ShardedSystem::Drain() {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
-  if (step_active_) return Status::FailedPrecondition("step active");
-  FlushPending();
-  ForEachShard([](Shard& shard) {
-    shard.step_status = Status::Ok();
-    driver::AdaptiveDriver& drv = shard.system->driver();
-    // Release any still-queued requests, then run the member dry and take
-    // a final monitoring tick at its own quiesce time.
-    std::vector<workload::TraceRecord>& q = shard.run_queue;
-    if (shard.run_cursor < q.size() && !drv.halted()) {
-      std::vector<driver::AdaptiveDriver::BlockRequest>& batch =
-          shard.submit_batch;
-      batch.clear();
-      batch.reserve(q.size() - shard.run_cursor);
-      for (std::size_t k = shard.run_cursor; k < q.size(); ++k) {
-        const workload::TraceRecord& rec = q[k];
-        batch.push_back({rec.device, rec.block, rec.type, rec.time});
-      }
-      Status st = drv.SubmitBlockBatch(batch.data(), batch.size());
-      if (!st.ok()) shard.step_status = st;
-    }
-    q.clear();
-    shard.run_cursor = 0;
-    shard.drain_time = drv.Drain();
-    shard.system->PeriodicTick(drv.now());
-  });
-  merger_.DrainInto(merge_sink_);
-  Micros latest = advanced_to_;
-  for (const auto& shard : shards_) {
-    if (!shard->step_status.ok()) return shard->step_status;
-    latest = std::max(latest, shard->drain_time);
-  }
-  advanced_to_ = std::max(advanced_to_, now());
-  return latest;
-}
+void ShardedSystem::AtBarrier() { merger_.DrainInto(merge_sink_); }
 
 Micros ShardedSystem::now() const {
   Micros t = 0;
@@ -367,45 +130,25 @@ Micros ShardedSystem::now() const {
 }
 
 StatusOr<placement::ArrangeResult> ShardedSystem::RearrangeAll() {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
-  if (step_active_) return Status::FailedPrecondition("step active");
-  ForEachShard([](Shard& shard) {
-    shard.pass_result = shard.system->Rearrange();
+  return RunPass([this](std::int32_t s) {
+    return shards_[static_cast<std::size_t>(s)]->system->Rearrange();
   });
-  merger_.DrainInto(merge_sink_);
-  placement::ArrangeResult total;
-  for (const auto& shard : shards_) {
-    if (!shard->pass_result.ok()) return shard->pass_result.status();
-    FoldInto(total, *shard->pass_result);
-  }
-  advanced_to_ = std::max(advanced_to_, now());
-  return total;
 }
 
 Status ShardedSystem::OpenContinuousPlanAll() {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
-  if (step_active_) return Status::FailedPrecondition("step active");
-  ForEachShard([](Shard& shard) {
-    shard.step_status = shard.system->OpenContinuousPlan();
+  ABR_RETURN_IF_ERROR(CheckQuiesced());
+  return ForEachMemberStatus([this](std::int32_t s) {
+    return shards_[static_cast<std::size_t>(s)]->system->OpenContinuousPlan();
   });
-  for (const auto& shard : shards_) {
-    if (!shard->step_status.ok()) return shard->step_status;
-  }
-  return Status::Ok();
 }
 
 placement::ArrangeResult ShardedSystem::CloseContinuousDayAll() {
-  placement::ArrangeResult total;
-  if (!started_ || step_active_) return total;
-  ForEachShard([](Shard& shard) {
-    shard.pass_result = shard.system->CloseContinuousDay();
-  });
-  merger_.DrainInto(merge_sink_);
-  for (const auto& shard : shards_) {
-    FoldInto(total, *shard->pass_result);
-  }
-  advanced_to_ = std::max(advanced_to_, now());
-  return total;
+  StatusOr<placement::ArrangeResult> total =
+      RunPass([this](std::int32_t s) -> StatusOr<placement::ArrangeResult> {
+        return shards_[static_cast<std::size_t>(s)]
+            ->system->CloseContinuousDay();
+      });
+  return total.ok() ? *total : placement::ArrangeResult{};
 }
 
 bool ShardedSystem::continuous_plan_open() const {
@@ -416,32 +159,16 @@ bool ShardedSystem::continuous_plan_open() const {
 }
 
 StatusOr<placement::ArrangeResult> ShardedSystem::CleanAll() {
-  if (!started_) return Status::FailedPrecondition("Start() has not run");
-  if (step_active_) return Status::FailedPrecondition("step active");
-  ForEachShard([](Shard& shard) {
-    driver::AdaptiveDriver& drv = shard.system->driver();
-    const std::int32_t before = drv.block_table().size();
-    Status st = shard.system->Clean();
-    if (!st.ok()) {
-      shard.pass_result = st;
-      return;
-    }
+  return RunPass([this](std::int32_t s) -> StatusOr<placement::ArrangeResult> {
+    AdaptiveSystem& sys = *shards_[static_cast<std::size_t>(s)]->system;
+    const std::int32_t before = sys.driver().block_table().size();
+    ABR_RETURN_IF_ERROR(sys.Clean());
     placement::ArrangeResult r;
-    r.cleaned = before - drv.block_table().size();
+    r.cleaned = before - sys.driver().block_table().size();
     r.evicted = r.cleaned;
-    r.halted = drv.halted();
-    shard.pass_result = r;
+    r.halted = sys.driver().halted();
+    return r;
   });
-  merger_.DrainInto(merge_sink_);
-  placement::ArrangeResult total;
-  for (const auto& shard : shards_) {
-    if (!shard->pass_result.ok()) return shard->pass_result.status();
-    total.cleaned += shard->pass_result->cleaned;
-    total.evicted += shard->pass_result->evicted;
-    total.halted = total.halted || shard->pass_result->halted;
-  }
-  advanced_to_ = std::max(advanced_to_, now());
-  return total;
 }
 
 void ShardedSystem::ResetCounts() {
@@ -457,7 +184,8 @@ void ShardedSystem::set_rearrange_blocks(std::int32_t n) {
 driver::PerfSnapshot ShardedSystem::ReadStatsMerged(bool clear) {
   // Gather in parallel (each shard touches only its own monitor), reduce
   // in fixed shard order so the fold stays deterministic.
-  ForEachShard([clear](Shard& shard) {
+  ForEachMember([this, clear](std::int32_t s) {
+    Shard& shard = *shards_[static_cast<std::size_t>(s)];
     shard.stat_slot = shard.system->driver().IoctlReadStats(clear);
   });
   driver::PerfSnapshot merged;
@@ -469,7 +197,8 @@ driver::PerfSnapshot ShardedSystem::ReadStatsMerged(bool clear) {
 }
 
 std::vector<analyzer::HotBlock> ShardedSystem::HotList(std::size_t k) {
-  ForEachShard([k](Shard& shard) {
+  ForEachMember([this, k](std::int32_t s) {
+    Shard& shard = *shards_[static_cast<std::size_t>(s)];
     shard.hot_slot = shard.system->analyzer().HotList(k);
   });
   std::vector<std::size_t> heads(shards_.size(), 0);
@@ -505,126 +234,6 @@ bool ShardedSystem::halted() const {
     if (shard->system->driver().halted()) return true;
   }
   return false;
-}
-
-// --- ShardedDayRunner ------------------------------------------------------
-
-ShardedDayRunner::ShardedDayRunner(ShardedSystem* system,
-                                   const ShardedDayConfig& config)
-    : system_(system),
-      config_(config),
-      workload_(/*device=*/0, system->device_blocks(), config.synthetic,
-                config.seed) {}
-
-StatusOr<DayMetrics> ShardedDayRunner::RunMeasuredDay() {
-  ShardedSystem& sys = *system_;
-  (void)sys.ReadStatsMerged(/*clear=*/true);
-  const std::int64_t barriers_before = sys.barriers();
-  const double stall_before = sys.barrier_stall_wall();
-  const double merge_before = sys.barrier_merge_wall();
-  const Micros start = sys.now();
-  const Micros end = start + config_.day_length;
-  const Micros epoch = sys.config().epoch;
-
-  // Chunks are epoch-length *durations* from day start, so the generated
-  // sequence (blocks, types, intra-day offsets) is the same for every
-  // shard count, thread count, and window width; only the absolute day
-  // start shifts. `gen` tracks how far generation has run.
-  Micros cur = start;
-  Micros gen = start;
-  auto generate_until = [&](Micros until) -> Status {
-    while (gen < until && gen < end) {
-      const Micros chunk_end = std::min(end, gen + epoch);
-      chunk_.Clear();
-      workload_.Generate(gen, chunk_end, chunk_);
-      requests_ += static_cast<std::int64_t>(chunk_.size());
-      ABR_RETURN_IF_ERROR(
-          sys.SubmitBatch(chunk_.records().data(), chunk_.size()));
-      gen = chunk_end;
-    }
-    return Status::Ok();
-  };
-
-  while (cur < end) {
-    // Plan the window first so every record it will consume is routed
-    // before dispatch; an adaptive window may cover many grid chunks.
-    const Micros cur_end = sys.PlanStepEnd(end);
-    ABR_RETURN_IF_ERROR(generate_until(cur_end));
-    ABR_RETURN_IF_ERROR(sys.BeginStep(cur_end));
-    // Shards service [cur, cur_end) while the coordinator generates and
-    // routes roughly the next window's worth of traffic — the pipeline
-    // keeping generation and routing (and, in adaptive mode, the previous
-    // window's merge) off the parallel critical path. Over-generation is
-    // harmless: run queues hold records until their grid comes up.
-    Status gen_status =
-        generate_until(std::min(end, cur_end + (cur_end - cur)));
-    Status end_status = sys.EndStep();
-    ABR_RETURN_IF_ERROR(gen_status);
-    ABR_RETURN_IF_ERROR(end_status);
-    cur = cur_end;
-  }
-
-  StatusOr<Micros> quiesce = sys.Drain();
-  if (!quiesce.ok()) return quiesce.status();
-  ++day_;
-  DayMetrics metrics =
-      DayMetrics::From(sys.ReadStatsMerged(/*clear=*/true), sys.seek_model());
-  // Every member ran the same day span; the fleet's disk-time budget for
-  // idle accounting is the span times the member count.
-  metrics.elapsed = (*quiesce - start) * sys.shards();
-  metrics.barriers = sys.barriers() - barriers_before;
-  metrics.barrier_stall_wall = sys.barrier_stall_wall() - stall_before;
-  metrics.barrier_merge_wall = sys.barrier_merge_wall() - merge_before;
-  if (sys.continuous_plan_open()) {
-    metrics.arrange = sys.CloseContinuousDayAll();
-  } else {
-    metrics.arrange = last_arrange_;
-  }
-  last_arrange_ = placement::ArrangeResult{};
-  return metrics;
-}
-
-Status ShardedDayRunner::OpenContinuousPlanForNextDay() {
-  last_arrange_ = placement::ArrangeResult{};
-  return system_->OpenContinuousPlanAll();
-}
-
-Status ShardedDayRunner::RearrangeForNextDay() {
-  StatusOr<placement::ArrangeResult> result = system_->RearrangeAll();
-  if (result.ok()) last_arrange_ = *result;
-  return result.status();
-}
-
-Status ShardedDayRunner::CleanForNextDay() {
-  StatusOr<placement::ArrangeResult> result = system_->CleanAll();
-  if (result.ok()) last_arrange_ = *result;
-  return result.status();
-}
-
-StatusOr<ShardedOnOffResult> RunShardedOnOff(ShardedDayRunner& runner,
-                                             std::int32_t days_per_side) {
-  // Warm-up day: traffic and counts only; we start "off" like the paper.
-  StatusOr<DayMetrics> warmup = runner.RunMeasuredDay();
-  if (!warmup.ok()) return warmup.status();
-
-  ShardedOnOffResult result;
-  const std::int32_t total_days = 2 * days_per_side;
-  for (std::int32_t i = 0; i < total_days; ++i) {
-    const bool on = (i % 2) == 1;
-    if (on) {
-      if (runner.system().config().system.continuous) {
-        ABR_RETURN_IF_ERROR(runner.OpenContinuousPlanForNextDay());
-      } else {
-        ABR_RETURN_IF_ERROR(runner.RearrangeForNextDay());
-      }
-    } else {
-      ABR_RETURN_IF_ERROR(runner.CleanForNextDay());
-    }
-    StatusOr<DayMetrics> day = runner.RunMeasuredDay();
-    if (!day.ok()) return day.status();
-    (on ? result.on_days : result.off_days).push_back(std::move(day.value()));
-  }
-  return result;
 }
 
 }  // namespace abr::core

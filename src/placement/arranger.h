@@ -30,6 +30,23 @@ struct ArrangeResult {
   bool halted = false;            // the machine died mid-pass (crash point)
   std::int64_t internal_ios = 0;  // driver I/O operations consumed
   Micros io_time = 0;             // disk time consumed by those I/Os
+
+  /// Adds `other`'s outcome (passes over several members, or several
+  /// replicas, fold in a fixed order).
+  void MergeFrom(const ArrangeResult& other) {
+    cleaned += other.cleaned;
+    copied += other.copied;
+    skipped += other.skipped;
+    aborted += other.aborted;
+    kept += other.kept;
+    shuffled += other.shuffled;
+    evicted += other.evicted;
+    admitted += other.admitted;
+    deferred += other.deferred;
+    halted = halted || other.halted;
+    internal_ios += other.internal_ios;
+    io_time += other.io_time;
+  }
 };
 
 /// Arranger tuning.

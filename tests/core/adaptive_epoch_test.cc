@@ -138,8 +138,8 @@ ShardedSystemConfig FleetConfig(std::int32_t shards, std::int32_t threads,
   return config;
 }
 
-ShardedDayConfig FleetDay(Micros day_length) {
-  ShardedDayConfig day;
+ArrayDayConfig FleetDay(Micros day_length) {
+  ArrayDayConfig day;
   day.synthetic.population = 300;
   day.synthetic.theta = 1.0;
   day.synthetic.write_fraction = 0.3;
@@ -148,6 +148,7 @@ ShardedDayConfig FleetDay(Micros day_length) {
   day.synthetic.arrivals.mean_intra_gap = 20 * kMillisecond;
   day.day_length = day_length;
   day.seed = 0xC0FFEE;
+  day.chunk = kGrid;  // a fleet generates on its barrier grid
   return day;
 }
 
@@ -161,7 +162,7 @@ TwinOutcome RunCleanFleet(bool adaptive, std::int32_t threads) {
   HashSink sink;
   sys.set_completion_sink(&sink);
   EXPECT_TRUE(sys.Start().ok());
-  ShardedDayRunner runner(&sys, FleetDay(3 * kMinute));
+  ArrayDayRunner runner(&sys, FleetDay(3 * kMinute));
 
   TwinOutcome out;
   out.fp = 0xF1EE7;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "core/array_day.h"
 #include "core/metrics.h"
 
 namespace abr::core {
@@ -109,8 +110,8 @@ ShardedSystemConfig MiniConfig(std::int32_t shards, bool continuous,
   return config;
 }
 
-ShardedDayConfig MiniDay() {
-  ShardedDayConfig day;
+ArrayDayConfig MiniDay() {
+  ArrayDayConfig day;
   day.synthetic.population = 300;
   day.synthetic.theta = 1.0;
   day.synthetic.write_fraction = 0.3;
@@ -119,6 +120,7 @@ ShardedDayConfig MiniDay() {
   day.synthetic.arrivals.mean_intra_gap = 20 * kMillisecond;
   day.day_length = 4 * kMinute;
   day.seed = 0xC0FFEE;
+  day.chunk = 30 * kSecond;  // a fleet generates on its barrier grid
   return day;
 }
 
@@ -128,8 +130,8 @@ std::uint64_t RunScenario(std::int32_t shards, bool continuous,
                           bool stepped) {
   ShardedSystem sys(MiniConfig(shards, continuous, stepped));
   EXPECT_TRUE(sys.Start().ok());
-  ShardedDayRunner runner(&sys, MiniDay());
-  StatusOr<ShardedOnOffResult> result = RunShardedOnOff(runner, /*days=*/2);
+  ArrayDayRunner runner(&sys, MiniDay());
+  StatusOr<OnOffResult> result = RunOnOffLoop(runner, /*days=*/2);
   EXPECT_TRUE(result.ok());
   std::uint64_t h = 0xFEED;
   for (const DayMetrics& d : result->off_days) h = Mix(h, DayFp(d));
@@ -177,8 +179,8 @@ TEST(AdvanceKernelDiffTest, AnalyticSeekOracleMatchesLutEndToEnd) {
   auto run = [](const ShardedSystemConfig& config) {
     ShardedSystem sys(config);
     EXPECT_TRUE(sys.Start().ok());
-    ShardedDayRunner runner(&sys, MiniDay());
-    StatusOr<ShardedOnOffResult> result = RunShardedOnOff(runner, 2);
+    ArrayDayRunner runner(&sys, MiniDay());
+    StatusOr<OnOffResult> result = RunOnOffLoop(runner, 2);
     EXPECT_TRUE(result.ok());
     std::uint64_t h = 0xFEED;
     for (const DayMetrics& d : result->off_days) h = Mix(h, DayFp(d));

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/array_day.h"
 #include "disk/disk_label.h"
 #include "driver/table_store.h"
 #include "fault/fault_plan.h"
@@ -141,8 +142,8 @@ ShardedSystemConfig MiniConfig(std::int32_t shards, std::int32_t threads) {
   return config;
 }
 
-ShardedDayConfig MiniDay(Micros day_length = 4 * kMinute) {
-  ShardedDayConfig day;
+ArrayDayConfig MiniDay(Micros day_length = 4 * kMinute) {
+  ArrayDayConfig day;
   day.synthetic.population = 300;
   day.synthetic.theta = 1.0;
   day.synthetic.write_fraction = 0.3;
@@ -151,6 +152,7 @@ ShardedDayConfig MiniDay(Micros day_length = 4 * kMinute) {
   day.synthetic.arrivals.mean_intra_gap = 20 * kMillisecond;
   day.day_length = day_length;
   day.seed = 0xC0FFEE;
+  day.chunk = 30 * kSecond;  // a fleet generates on its barrier grid
   return day;
 }
 
@@ -158,12 +160,12 @@ ShardedDayConfig MiniDay(Micros day_length = 4 * kMinute) {
 
 TEST(ShardedSystemTest, SingleShardMatchesSerialOracle) {
   const ShardedSystemConfig config = MiniConfig(/*shards=*/1, /*threads=*/1);
-  const ShardedDayConfig day = MiniDay();
+  const ArrayDayConfig day = MiniDay();
 
   // The sharded engine with one shard.
   ShardedSystem sys(config);
   ASSERT_TRUE(sys.Start().ok());
-  ShardedDayRunner runner(&sys, day);
+  ArrayDayRunner runner(&sys, day);
   StatusOr<DayMetrics> sharded_day = runner.RunMeasuredDay();
   ASSERT_TRUE(sharded_day.ok());
   std::vector<analyzer::HotBlock> sharded_hot = sys.HotList(20);
@@ -238,7 +240,7 @@ std::uint64_t RunCleanScenario(std::int32_t shards, std::int32_t threads) {
   HashSink sink;
   sys.set_completion_sink(&sink);
   EXPECT_TRUE(sys.Start().ok());
-  ShardedDayRunner runner(&sys, MiniDay(3 * kMinute));
+  ArrayDayRunner runner(&sys, MiniDay(3 * kMinute));
 
   std::uint64_t fp = 0xF1EE7;
   for (int phase = 0; phase < 2; ++phase) {
@@ -393,7 +395,7 @@ TEST(ShardedSystemTest, RequestStreamMatchesAcrossShardCounts) {
     HashSink sink;
     sys.set_completion_sink(&sink);
     ASSERT_TRUE(sys.Start().ok());
-    ShardedDayRunner runner(&sys, MiniDay());
+    ArrayDayRunner runner(&sys, MiniDay());
     ASSERT_TRUE(runner.RunMeasuredDay().ok());
     generated.push_back(runner.requests_generated());
     completed.push_back(sink.count);
@@ -419,10 +421,10 @@ TEST(ShardedSystemTest, OnDaysBeatOffDays) {
   config.rearrange_blocks = 96;
   ShardedSystem sys(config);
   ASSERT_TRUE(sys.Start().ok());
-  ShardedDayConfig day = MiniDay(6 * kMinute);
-  ShardedDayRunner runner(&sys, day);
-  StatusOr<ShardedOnOffResult> result =
-      RunShardedOnOff(runner, /*days_per_side=*/1);
+  ArrayDayConfig day = MiniDay(6 * kMinute);
+  ArrayDayRunner runner(&sys, day);
+  StatusOr<OnOffResult> result =
+      RunOnOffLoop(runner, /*days_per_side=*/1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->off_days.size(), 1u);
   ASSERT_EQ(result->on_days.size(), 1u);

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "sim/shard_map.h"
 
 namespace abr::sim {
 namespace {
@@ -19,16 +18,18 @@ TEST(StripeMapTest, SingleMemberIsIdentity) {
 }
 
 TEST(StripeMapTest, ChunkOfOneMatchesShardMap) {
+  // Chunk 1 is the sharded fleet's round-robin layout: block b on member
+  // b mod n as local block b div n, early members owning the remainder.
   const std::int64_t total = 137;
   const std::int32_t n = 5;
   StripeMap stripe(n, 1, total);
-  ShardMap shard(n, total);
   for (BlockNo b = 0; b < total; ++b) {
-    EXPECT_EQ(stripe.MemberOf(b), shard.ShardOf(b));
-    EXPECT_EQ(stripe.LocalOf(b), shard.LocalOf(b));
+    EXPECT_EQ(stripe.MemberOf(b), b % n);
+    EXPECT_EQ(stripe.LocalOf(b), b / n);
+    EXPECT_EQ(stripe.GlobalOf(static_cast<std::int32_t>(b % n), b / n), b);
   }
   for (std::int32_t m = 0; m < n; ++m) {
-    EXPECT_EQ(stripe.LocalCount(m), shard.LocalCount(m));
+    EXPECT_EQ(stripe.LocalCount(m), (total - m + n - 1) / n);
   }
 }
 
@@ -95,6 +96,113 @@ TEST(StripeMapTest, BoundaryBlocksRoundTrip) {
   }
   EXPECT_FALSE(map.Contains(-1));
   EXPECT_FALSE(map.Contains(1024));
+}
+
+// The sharded fleet's layout: StripeMap at chunk 1 (round-robin striping).
+
+TEST(ShardMapTest, SingleShardIsIdentity) {
+  StripeMap map(1, 1, 100);
+  for (BlockNo b = 0; b < 100; ++b) {
+    EXPECT_EQ(map.MemberOf(b), 0);
+    EXPECT_EQ(map.LocalOf(b), b);
+    EXPECT_EQ(map.GlobalOf(0, b), b);
+  }
+  EXPECT_EQ(map.LocalCount(0), 100);
+}
+
+TEST(ShardMapTest, RoundRobinStriping) {
+  StripeMap map(3, 1, 10);
+  // Blocks 0..9 land on shards 0,1,2,0,1,2,... with consecutive locals.
+  EXPECT_EQ(map.MemberOf(0), 0);
+  EXPECT_EQ(map.MemberOf(1), 1);
+  EXPECT_EQ(map.MemberOf(2), 2);
+  EXPECT_EQ(map.MemberOf(3), 0);
+  EXPECT_EQ(map.LocalOf(0), 0);
+  EXPECT_EQ(map.LocalOf(3), 1);
+  EXPECT_EQ(map.LocalOf(7), 2);
+}
+
+TEST(ShardMapTest, RoundTripCoversEveryBlockExactlyOnce) {
+  const std::int32_t shards = 5;
+  const std::int64_t total = 137;  // not a multiple of the shard count
+  StripeMap map(shards, 1, total);
+  std::vector<int> seen(static_cast<std::size_t>(total), 0);
+  for (std::int32_t s = 0; s < shards; ++s) {
+    for (BlockNo local = 0; local < map.LocalCount(s); ++local) {
+      const BlockNo global = map.GlobalOf(s, local);
+      ASSERT_TRUE(map.Contains(global));
+      EXPECT_EQ(map.MemberOf(global), s);
+      EXPECT_EQ(map.LocalOf(global), local);
+      ++seen[static_cast<std::size_t>(global)];
+    }
+  }
+  for (int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(ShardMapTest, LocalCountsSumToTotal) {
+  for (std::int32_t shards = 1; shards <= 8; ++shards) {
+    StripeMap map(shards, 1, 1000);
+    std::int64_t sum = 0;
+    for (std::int32_t s = 0; s < shards; ++s) sum += map.LocalCount(s);
+    EXPECT_EQ(sum, 1000) << "shards=" << shards;
+  }
+}
+
+TEST(ShardMapTest, ContainsRejectsOutOfRange) {
+  StripeMap map(4, 1, 64);
+  EXPECT_TRUE(map.Contains(0));
+  EXPECT_TRUE(map.Contains(63));
+  EXPECT_FALSE(map.Contains(-1));
+  EXPECT_FALSE(map.Contains(64));
+}
+
+TEST(ShardMapTest, IndivisibleTotalsGiveEarlyShardsOneExtraBlock) {
+  // total mod shards = r: shards 0..r-1 own ceil(total/shards) blocks,
+  // the rest floor(total/shards) — for every remainder class.
+  for (std::int64_t total = 97; total <= 103; ++total) {
+    StripeMap map(7, 1, total);
+    const std::int64_t floor_count = total / 7;
+    const std::int64_t rem = total % 7;
+    std::int64_t sum = 0;
+    for (std::int32_t s = 0; s < 7; ++s) {
+      const std::int64_t expected = floor_count + (s < rem ? 1 : 0);
+      EXPECT_EQ(map.LocalCount(s), expected)
+          << "total=" << total << " shard=" << s;
+      sum += map.LocalCount(s);
+    }
+    EXPECT_EQ(sum, total);
+  }
+}
+
+TEST(ShardMapTest, SingleShardDegenerateEdges) {
+  StripeMap map(1, 1, 1);
+  EXPECT_EQ(map.MemberOf(0), 0);
+  EXPECT_EQ(map.LocalOf(0), 0);
+  EXPECT_EQ(map.GlobalOf(0, 0), 0);
+  EXPECT_EQ(map.LocalCount(0), 1);
+
+  StripeMap empty(3, 1, 0);
+  EXPECT_FALSE(empty.Contains(0));
+  for (std::int32_t s = 0; s < 3; ++s) EXPECT_EQ(empty.LocalCount(s), 0);
+}
+
+TEST(ShardMapTest, RoundTripAtBothBoundaries) {
+  // First and last virtual block, and the first/last local block of each
+  // shard, all survive the global -> (shard, local) -> global round trip.
+  StripeMap map(5, 1, 137);
+  for (BlockNo b : {BlockNo{0}, BlockNo{136}}) {
+    EXPECT_EQ(map.GlobalOf(map.MemberOf(b), map.LocalOf(b)), b);
+  }
+  for (std::int32_t s = 0; s < 5; ++s) {
+    const std::int64_t count = map.LocalCount(s);
+    ASSERT_GT(count, 0);
+    for (BlockNo local : {BlockNo{0}, BlockNo{count - 1}}) {
+      const BlockNo global = map.GlobalOf(s, local);
+      ASSERT_TRUE(map.Contains(global));
+      EXPECT_EQ(map.MemberOf(global), s);
+      EXPECT_EQ(map.LocalOf(global), local);
+    }
+  }
 }
 
 }  // namespace
