@@ -1,7 +1,6 @@
 #ifndef ABR_SIM_COMPLETION_MERGE_H_
 #define ABR_SIM_COMPLETION_MERGE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -24,93 +23,103 @@ class ShardCompletionSink {
 ///
 /// Each shard's worker appends its completions to its own lane (no other
 /// thread touches that lane until the epoch barrier, so lanes need no
-/// locking); the coordinator drains lanes in global (completion_time,
-/// shard, lane position) order. Within one shard the lane preserves the
-/// DiskSystem's delivery order, which is already time-nondecreasing, so
-/// the merge only ever compares lane heads. Ties across shards break
-/// toward the lower shard index, making the merged stream a pure function
-/// of the per-shard streams — independent of worker scheduling, which is
-/// what the byte-identity contract rests on.
+/// locking); at the barrier the coordinator drains the lanes in global
+/// (completion_time, shard, lane position) order. Within one shard the
+/// lane preserves the DiskSystem's delivery order, which is already
+/// time-nondecreasing, so the merge only ever compares lane heads. Ties
+/// across shards break toward the lower shard index, making the merged
+/// stream a pure function of the per-shard streams — independent of
+/// worker scheduling, which is what the byte-identity contract rests on.
 ///
-/// Two coordinator-offload properties:
-///
-///  - The merge is a loser-tree tournament: advancing the output costs one
-///    root-to-leaf replay, O(log S) comparisons per completion instead of
-///    the O(S) scan a naive k-way merge pays.
-///  - Lanes are double-banked. StageLanes() parks the filled bank and
-///    hands workers an empty one, so the coordinator can merge window
-///    e−1's completions (DrainStaged) while the workers fill window e's —
-///    legal because windows partition the stream by time at barriers.
-///    All buffers (both banks, the tree) retain their capacity across
-///    epochs; steady-state operation allocates nothing.
+/// The merge is a winner-tree tournament: advancing the output costs one
+/// leaf-to-root replay, O(log S) comparisons per completion instead of
+/// the O(S) scan a naive k-way merge pays. The lanes and the tree retain
+/// their capacity across epochs; steady-state operation allocates
+/// nothing.
 class CompletionMerger {
  public:
   explicit CompletionMerger(std::int32_t shards)
-      : fill_(static_cast<std::size_t>(shards)),
-        staged_(static_cast<std::size_t>(shards)) {}
+      : lanes_(static_cast<std::size_t>(shards)) {}
 
-  std::int32_t shards() const { return static_cast<std::int32_t>(fill_.size()); }
-
-  /// Shard `shard`'s append-only lane in the fill bank. Worker-side.
-  std::vector<CompletedIo>& lane(std::int32_t shard) {
-    return fill_[static_cast<std::size_t>(shard)];
+  std::int32_t shards() const {
+    return static_cast<std::int32_t>(lanes_.size());
   }
 
-  /// Buffered completions across both banks.
+  /// Shard `shard`'s append-only lane. Worker-side.
+  std::vector<CompletedIo>& lane(std::int32_t shard) {
+    return lanes_[static_cast<std::size_t>(shard)];
+  }
+
+  /// Buffered completions across all lanes.
   std::size_t buffered() const {
     std::size_t n = 0;
-    for (const auto& lane : fill_) n += lane.size();
-    for (const auto& lane : staged_) n += lane.size();
+    for (const auto& lane : lanes_) n += lane.size();
     return n;
   }
 
-  /// Parks the fill bank for a later DrainStaged and hands the workers the
-  /// (empty) other bank. The staged bank must have been drained first:
-  /// banked completions from two different windows would interleave by
-  /// time, which one merge pass over concatenated lanes cannot produce.
-  void StageLanes() {
-    assert(StagedEmpty());
-    fill_.swap(staged_);
-  }
-
-  /// Merges the staged bank into `sink` in global time order and empties
-  /// it. Coordinator-side; safe to run while workers append to the fill
-  /// bank. A null sink just empties the bank.
-  void DrainStaged(ShardCompletionSink* sink) { MergeBank(staged_, sink); }
-
-  /// Merges everything buffered — staged bank first (its completions are
-  /// from the earlier window, so strictly earlier), then the fill bank —
-  /// and empties both. Coordinator-side, outside any active step.
+  /// Merges every buffered completion into `sink` in global time order
+  /// and empties the lanes. Coordinator-side, outside any active step. A
+  /// null sink just empties the lanes.
   void DrainInto(ShardCompletionSink* sink) {
-    MergeBank(staged_, sink);
-    MergeBank(fill_, sink);
+    if (sink == nullptr) {
+      for (auto& lane : lanes_) lane.clear();
+      return;
+    }
+    const std::int32_t s = shards();
+    if (s == 1) {
+      // Degenerate tournament: the single lane is already the stream.
+      for (const CompletedIo& done : lanes_[0]) {
+        sink->OnShardIoComplete(0, done);
+        ++merged_;
+      }
+      lanes_[0].clear();
+      return;
+    }
+    // `tree_` holds, above `cap` leaf slots (the lowest power of two
+    // >= S), the winning lane index of each internal match; popping the
+    // winner replays only its leaf-to-root path.
+    std::size_t cap = 1;
+    while (cap < static_cast<std::size_t>(s)) cap <<= 1;
+    heads_.assign(lanes_.size(), 0);
+    tree_.assign(2 * cap, -1);
+    for (std::size_t i = 0; i < cap; ++i) {
+      tree_[cap + i] =
+          i < static_cast<std::size_t>(s) ? static_cast<std::int32_t>(i) : -1;
+    }
+    for (std::size_t n = cap - 1; n >= 1; --n) {
+      tree_[n] = Winner(tree_[2 * n], tree_[2 * n + 1]);
+    }
+    while (tree_[1] >= 0 &&
+           heads_[static_cast<std::size_t>(tree_[1])] <
+               lanes_[static_cast<std::size_t>(tree_[1])].size()) {
+      const std::int32_t best = tree_[1];
+      const std::size_t h = heads_[static_cast<std::size_t>(best)]++;
+      sink->OnShardIoComplete(best, lanes_[static_cast<std::size_t>(best)][h]);
+      ++merged_;
+      // Replay the winner's path to the root.
+      for (std::size_t n = (cap + static_cast<std::size_t>(best)) / 2; n >= 1;
+           n /= 2) {
+        tree_[n] = Winner(tree_[2 * n], tree_[2 * n + 1]);
+      }
+    }
+    for (auto& lane : lanes_) lane.clear();
   }
 
   /// Completions delivered through the merge so far (lifetime total).
   std::int64_t merged_count() const { return merged_; }
 
-  /// Capacity retained by shard `shard`'s lanes (fill + staged banks); the
-  /// capacity-retention test pins down that steady-state epochs stop
-  /// allocating.
+  /// Capacity retained by shard `shard`'s lane; the capacity-retention
+  /// test pins down that steady-state epochs stop allocating.
   std::size_t lane_capacity(std::int32_t shard) const {
-    return fill_[static_cast<std::size_t>(shard)].capacity() +
-           staged_[static_cast<std::size_t>(shard)].capacity();
+    return lanes_[static_cast<std::size_t>(shard)].capacity();
   }
 
  private:
-  bool StagedEmpty() const {
-    for (const auto& lane : staged_) {
-      if (!lane.empty()) return false;
-    }
-    return true;
-  }
-
   /// In the tournament, lane `a`'s head beats lane `b`'s head. Exhausted
   /// lanes always lose; equal completion times go to the lower shard.
-  bool HeadBeats(const std::vector<std::vector<CompletedIo>>& lanes,
-                 std::int32_t a, std::int32_t b) const {
-    const auto& la = lanes[static_cast<std::size_t>(a)];
-    const auto& lb = lanes[static_cast<std::size_t>(b)];
+  bool HeadBeats(std::int32_t a, std::int32_t b) const {
+    const auto& la = lanes_[static_cast<std::size_t>(a)];
+    const auto& lb = lanes_[static_cast<std::size_t>(b)];
     const std::size_t ha = heads_[static_cast<std::size_t>(a)];
     const std::size_t hb = heads_[static_cast<std::size_t>(b)];
     if (ha >= la.size()) return false;
@@ -121,62 +130,13 @@ class CompletionMerger {
     return a < b;
   }
 
-  /// Drains one bank through a winner tree. `tree_` holds, above `cap`
-  /// leaf slots (the lowest power of two >= S), the winning lane index of
-  /// each internal match; popping the winner replays only its leaf-to-root
-  /// path.
-  void MergeBank(std::vector<std::vector<CompletedIo>>& lanes,
-                 ShardCompletionSink* sink) {
-    if (sink == nullptr) {
-      for (auto& lane : lanes) lane.clear();
-      return;
-    }
-    const std::int32_t s = shards();
-    if (s == 1) {
-      // Degenerate tournament: the single lane is already the stream.
-      for (const CompletedIo& done : lanes[0]) {
-        sink->OnShardIoComplete(0, done);
-        ++merged_;
-      }
-      lanes[0].clear();
-      return;
-    }
-    std::size_t cap = 1;
-    while (cap < static_cast<std::size_t>(s)) cap <<= 1;
-    heads_.assign(lanes.size(), 0);
-    tree_.assign(2 * cap, -1);
-    for (std::size_t i = 0; i < cap; ++i) {
-      tree_[cap + i] =
-          i < static_cast<std::size_t>(s) ? static_cast<std::int32_t>(i) : -1;
-    }
-    for (std::size_t n = cap - 1; n >= 1; --n) {
-      tree_[n] = Winner(lanes, tree_[2 * n], tree_[2 * n + 1]);
-    }
-    while (tree_[1] >= 0 &&
-           heads_[static_cast<std::size_t>(tree_[1])] <
-               lanes[static_cast<std::size_t>(tree_[1])].size()) {
-      const std::int32_t best = tree_[1];
-      const std::size_t h = heads_[static_cast<std::size_t>(best)]++;
-      sink->OnShardIoComplete(best, lanes[static_cast<std::size_t>(best)][h]);
-      ++merged_;
-      // Replay the winner's path to the root.
-      for (std::size_t n = (cap + static_cast<std::size_t>(best)) / 2; n >= 1;
-           n /= 2) {
-        tree_[n] = Winner(lanes, tree_[2 * n], tree_[2 * n + 1]);
-      }
-    }
-    for (auto& lane : lanes) lane.clear();
-  }
-
-  std::int32_t Winner(const std::vector<std::vector<CompletedIo>>& lanes,
-                      std::int32_t a, std::int32_t b) const {
+  std::int32_t Winner(std::int32_t a, std::int32_t b) const {
     if (a < 0) return b;
     if (b < 0) return a;
-    return HeadBeats(lanes, a, b) ? a : b;
+    return HeadBeats(a, b) ? a : b;
   }
 
-  std::vector<std::vector<CompletedIo>> fill_;
-  std::vector<std::vector<CompletedIo>> staged_;
+  std::vector<std::vector<CompletedIo>> lanes_;
   std::vector<std::size_t> heads_;
   std::vector<std::int32_t> tree_;
   std::int64_t merged_ = 0;

@@ -9,17 +9,17 @@
 namespace abr::sim {
 
 /// Chunked RAID0 striping of one virtual device's logical block space
-/// across N members. Where ShardMap interleaves at single-block
-/// granularity, StripeMap keeps runs of `chunk_blocks` consecutive
+/// across N members. StripeMap keeps runs of `chunk_blocks` consecutive
 /// virtual blocks on one member before rotating to the next — the
 /// classic md/raid0 chunk layout, so a sequential scan pays one member's
 /// positioning cost per chunk instead of per block while a large hot
-/// range still spreads over the whole fleet. chunk_blocks == 1 is
-/// bit-identical to ShardMap.
+/// range still spreads over the whole fleet. chunk_blocks == 1 is the
+/// sharded fleet's round-robin layout: block b on member b mod N as local
+/// block b div N.
 ///
-/// Like ShardMap the map is pure arithmetic: routing depends only on
+/// The map is pure arithmetic: routing depends only on
 /// (members, chunk_blocks, total_blocks), never on execution order, which
-/// is what lets the array engine promise byte-identical output for any
+/// is what lets the barrier engine promise byte-identical output for any
 /// worker-thread count.
 class StripeMap {
  public:

@@ -89,40 +89,20 @@ TEST(CompletionMergerTest, DrainAcrossEpochsStaysOrdered) {
   EXPECT_EQ(merger.merged_count(), 4);
 }
 
-TEST(CompletionMergerTest, StagedBankDrainsWhileFillBankCollects) {
-  CompletionMerger merger(2);
-  Collector sink;
-  // Window 0 fills, then is staged; window 1 fills the swapped-in bank
-  // while window 0 drains — the overlap the coordinator pipeline relies on.
-  merger.lane(0).push_back(Done(1, 10));
-  merger.lane(1).push_back(Done(2, 20));
-  merger.StageLanes();
-  merger.lane(0).push_back(Done(3, 30));
-  merger.DrainStaged(&sink);
-  ASSERT_EQ(sink.seen.size(), 2u);
-  EXPECT_EQ(merger.buffered(), 1u);  // window 1 still banked
-  merger.StageLanes();
-  merger.DrainStaged(&sink);
-  ASSERT_EQ(sink.times.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(sink.times.begin(), sink.times.end()));
-  EXPECT_EQ(merger.merged_count(), 3);
-}
-
 TEST(CompletionMergerTest, LaneCapacityIsRetainedAcrossEpochs) {
   constexpr std::int32_t kShards = 3;
   constexpr int kPerEpoch = 64;
   CompletionMerger merger(kShards);
   Collector sink;
-  // Warm-up epoch grows the lanes (and, via one drain of each bank, the
-  // tree and head scratch) to steady-state size.
+  // Warm-up epochs grow the lanes (and the tree and head scratch) to
+  // steady-state size.
   auto run_epoch = [&](Micros base) {
     for (std::int32_t s = 0; s < kShards; ++s) {
       for (int i = 0; i < kPerEpoch; ++i) {
         merger.lane(s).push_back(Done(s * 1000 + i, base + i));
       }
     }
-    merger.StageLanes();
-    merger.DrainStaged(&sink);
+    merger.DrainInto(&sink);
   };
   run_epoch(0);
   run_epoch(10000);
@@ -132,7 +112,7 @@ TEST(CompletionMergerTest, LaneCapacityIsRetainedAcrossEpochs) {
     warm.push_back(merger.lane_capacity(s));
   }
   // Steady state: many more epochs of the same load must not re-allocate —
-  // clear() keeps capacity, and the banks only swap.
+  // clear() keeps capacity.
   for (int e = 2; e < 20; ++e) {
     run_epoch(e * 10000);
     for (std::int32_t s = 0; s < kShards; ++s) {
