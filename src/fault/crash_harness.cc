@@ -206,7 +206,10 @@ void CrashHarness::RunWorkloadPhase() {
     (void)s;
     ++result_.requests_submitted;
   }
-  if (!driver_->halted()) driver_->AdvanceTo(clock_);
+  // The driver's clock may already be past the last arrival.
+  if (!driver_->halted() && clock_ > driver_->now()) {
+    driver_->AdvanceTo(clock_);
+  }
 }
 
 void CrashHarness::MaybeArrange(std::int32_t phase) {
