@@ -3,12 +3,11 @@
 // and monitoring all together, measured as simulated requests serviced per
 // wall-clock second over Table-2-style alternating on/off days.
 //
-// Three measurements, all emitted to BENCH_e2e.json via bench::EmitJson:
+// Four measurements, all emitted to BENCH_e2e.json via bench::EmitJson:
 //
-//  1. Per scheduler kind: an identical on/off run on the flat production
-//     queues vs. the multimap reference schedulers (scheduler_ref.h, the
-//     pre-rewrite implementation), with a bit-identical-metrics check —
-//     the flat rewrite must change wall-clock only, never results.
+//  1. Per scheduler kind: req/s of an on/off run. Whole-day behaviour of
+//     each policy is pinned by the golden transcripts; the flat queues
+//     are timed against their multimap originals in bench_micro.
 //  2. Replication fan-out (kind=replication): R independent replications
 //     of one experiment at --jobs=1 vs --jobs=N through
 //     ParallelRunner::RunReplicated, again checked bit-identical. The
@@ -120,77 +119,37 @@ core::ExperimentConfig BaseConfig(const Options& opt) {
   return config;
 }
 
-/// Measurement 1: the production configuration (flat queues + translation
-/// fast path) vs. its two oracles on the same whole-pipeline day, per
-/// scheduler kind — the multimap reference schedulers and the direct-probe
-/// translation path. Both must produce bit-identical metrics.
+/// Measurement 1: whole-pipeline throughput per scheduler kind.
 void BenchSchedulers(const Options& opt,
                      std::vector<bench::BenchMetric>& metrics) {
-  bench::Banner(
-      "whole-pipeline day throughput: production vs multimap-queue and "
-      "direct-translation oracles");
+  bench::Banner("whole-pipeline day throughput per scheduler");
   const sched::SchedulerKind kinds[] = {
       sched::SchedulerKind::kFcfs, sched::SchedulerKind::kSstf,
       sched::SchedulerKind::kScan, sched::SchedulerKind::kCLook};
-  struct Variant {
-    const char* what;
-    bool reference_scheduler;
-    bool translation_fast_path;
-  };
-  // Production last so its cache state matches the other runs' position.
-  const Variant variants[] = {
-      {"multimap queues", true, true},
-      {"direct translation", false, false},
-      {"production", false, true},
-  };
   for (const sched::SchedulerKind kind : kinds) {
     core::ExperimentConfig config = BaseConfig(opt);
     config.system.driver.scheduler = kind;
-
-    std::vector<std::vector<core::DayMetrics>> days[3];
-    double secs[3] = {0, 0, 0};
-    for (int v = 0; v < 3; ++v) {
-      config.system.driver.reference_scheduler =
-          variants[v].reference_scheduler;
-      config.system.driver.translation_fast_path =
-          variants[v].translation_fast_path;
-      core::Experiment exp(config);
-      const auto start = std::chrono::steady_clock::now();
-      bench::CheckOk(core::RunOnOff(exp, opt.days_per_side).status(),
-                     "on/off run");
-      core::Experiment exp2(config);
-      auto result = bench::CheckOk(core::RunOnOff(exp2, opt.days_per_side),
-                                   "on/off run");
-      const auto end = std::chrono::steady_clock::now();
-      // Two back-to-back runs halve timer noise; metrics come from the
-      // second (they are identical by determinism anyway).
-      secs[v] = Seconds(start, end) / 2;
-      days[v].push_back(core::InterleaveOnOff(result));
-    }
-
-    for (int v = 0; v < 2; ++v) {
-      if (Fingerprint(days[2]) != Fingerprint(days[v])) {
-        std::fprintf(stderr,
-                     "FATAL: %s: production changed the metrics vs %s\n",
-                     sched::SchedulerKindName(kind), variants[v].what);
-        std::exit(1);
-      }
-    }
-    const std::int64_t requests = CountRequests(days[2]);
-    const double prod_s = secs[2];
+    core::Experiment exp(config);
+    const auto start = std::chrono::steady_clock::now();
+    bench::CheckOk(core::RunOnOff(exp, opt.days_per_side).status(),
+                   "on/off run");
+    core::Experiment exp2(config);
+    auto result = bench::CheckOk(core::RunOnOff(exp2, opt.days_per_side),
+                                 "on/off run");
+    const auto end = std::chrono::steady_clock::now();
+    // Two back-to-back runs halve timer noise; the request count comes
+    // from the second (identical by determinism anyway).
+    const double secs = Seconds(start, end) / 2;
+    const std::int64_t requests =
+        CountRequests({core::InterleaveOnOff(result)});
     bench::BenchMetric m;
     m.name = std::string("e2e_day_") + sched::SchedulerKindName(kind);
-    m.ns_per_op = prod_s * 1e9 / static_cast<double>(requests);
-    m.ops_per_sec = static_cast<double>(requests) / prod_s;
+    m.ns_per_op = secs * 1e9 / static_cast<double>(requests);
+    m.ops_per_sec = static_cast<double>(requests) / secs;
     m.threads = 1;
-    m.speedup = prod_s > 0 ? secs[0] / prod_s : 0;
-    std::printf(
-        "%-8s %9lld req  %8.0f req/s  (multimap %8.0f req/s, %.2fx; "
-        "direct xlat %8.0f req/s, %.2fx)  metrics identical\n",
-        sched::SchedulerKindName(kind), static_cast<long long>(requests),
-        m.ops_per_sec, static_cast<double>(requests) / secs[0], m.speedup,
-        static_cast<double>(requests) / secs[1],
-        prod_s > 0 ? secs[1] / prod_s : 0);
+    std::printf("%-8s %9lld req  %8.0f req/s\n",
+                sched::SchedulerKindName(kind),
+                static_cast<long long>(requests), m.ops_per_sec);
     metrics.push_back(m);
   }
 }

@@ -17,19 +17,19 @@
 
 #include "analyzer/exact_counter.h"
 #include "analyzer/space_saving_counter.h"
-#include "analyzer/space_saving_ref.h"
 #include "bench_util.h"
 #include "disk/disk.h"
 #include "driver/block_table.h"
 #include "driver/request_monitor.h"
 #include "driver/translation_filter.h"
 #include "disk/seek_model.h"
+#include "oracles/scheduler_ref.h"
+#include "oracles/space_saving_ref.h"
+#include "oracles/zipf_ref.h"
 #include "sched/flat_queue.h"
 #include "sched/scheduler.h"
-#include "sched/scheduler_ref.h"
 #include "util/rng.h"
 #include "util/zipf.h"
-#include "util/zipf_ref.h"
 
 namespace {
 
@@ -485,12 +485,10 @@ void EmitBeforeAfterJson() {
   }
 
   // Seek-time evaluation: the per-call analytic curve (sqrt/cbrt/log, the
-  // --analytic-seek oracle) vs the per-drive lookup table every
+  // reference evaluator) vs the per-drive lookup table every
   // Disk::Service and seek-distance metric conversion now reads.
   {
     const disk::SeekModel lut = disk::SeekModel::ToshibaMK156F();
-    disk::SeekModel analytic = lut;
-    analytic.set_analytic(true);
     std::vector<std::int64_t> dists(kIters);
     {
       Rng rng(41);
@@ -503,8 +501,8 @@ void EmitBeforeAfterJson() {
         "seek_time_lookup",
         NsPerOp(kIters,
                 [&](std::int64_t i) {
-                  benchmark::DoNotOptimize(
-                      analytic.TimeFor(dists[static_cast<std::size_t>(i)]));
+                  benchmark::DoNotOptimize(MillisToMicros(
+                      lut.AnalyticMillis(dists[static_cast<std::size_t>(i)])));
                 }),
         NsPerOp(kIters, [&](std::int64_t i) {
           benchmark::DoNotOptimize(

@@ -23,12 +23,6 @@ struct DriveSpec {
   /// Approximates the synchronous SCSI-1 bus of the measured system.
   double buffer_transfer_mb_per_s = 2.5;
 
-  /// Oracle switch (`abrsim --analytic-seek`): evaluate the analytic seek
-  /// function on every call instead of the per-distance lookup table. Output
-  /// is bit-identical by construction; this exists so differential runs can
-  /// prove it. Applied to seek_model by whoever builds the config.
-  bool analytic_seek = false;
-
   /// Toshiba MK156F: 135 MB, 815 cylinders, 10 tracks/cyl, 34 sectors/track,
   /// 3600 RPM, no track buffer.
   static DriveSpec ToshibaMK156F();

@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sched/scheduler_ref.h"
-
 namespace abr::driver {
-
-namespace {
-
-std::unique_ptr<sched::Scheduler> MakeConfiguredScheduler(
-    const DriverConfig& config, std::int64_t sectors_per_cylinder) {
-  return config.reference_scheduler
-             ? sched::MakeRefScheduler(config.scheduler, sectors_per_cylinder)
-             : sched::MakeScheduler(config.scheduler, sectors_per_cylinder);
-}
-
-}  // namespace
 
 AdaptiveDriver::AdaptiveDriver(disk::Disk* disk, disk::DiskLabel label,
                                DriverConfig config, BlockTableStore* store)
@@ -24,8 +11,8 @@ AdaptiveDriver::AdaptiveDriver(disk::Disk* disk, disk::DiskLabel label,
       label_(std::move(label)),
       config_(config),
       store_(store),
-      system_(disk, MakeConfiguredScheduler(
-                        config,
+      system_(disk, sched::MakeScheduler(
+                        config.scheduler,
                         label_.physical_geometry().sectors_per_cylinder())),
       block_table_(std::make_unique<BlockTable>(config.block_table_capacity)),
       request_monitor_(config.request_monitor_capacity) {
@@ -181,7 +168,7 @@ Status AdaptiveDriver::RouteBlock(std::int32_t device, BlockNo block,
   const SectorNo original = extents[0].sector;
   // Kick off the filter-counter load now; the stats recording below gives
   // the prefetch time to land before MayContain() reads it.
-  if (config_.translation_fast_path) translation_filter_.Prefetch(original);
+  translation_filter_.Prefetch(original);
 
   if (record_stats) {
     perf_monitor_.RecordArrival(
@@ -192,14 +179,15 @@ Status AdaptiveDriver::RouteBlock(std::int32_t device, BlockNo block,
   }
 
   PhysExtents finals = extents;
-  if (config_.translation_fast_path &&
-      !translation_filter_.MayContain(original)) {
+  if (!translation_filter_.MayContain(original)) {
     // Fast path: no table entry and no move chain can exist for this
     // block, so the mapped extents go straight to the scheduler.
-  } else if (config_.translation_fast_path && cache_valid_ &&
-             cache_original_ == original && extents.size() == 1) {
+    assert(Untranslated(original));
+  } else if (cache_valid_ && cache_original_ == original &&
+             extents.size() == 1) {
     // Last-translation cache hit; a valid entry proves the mapping still
     // holds and no chain is active for it (any mutation invalidates).
+    assert(CacheMatchesTable());
     if (type == sched::IoType::kWrite && !cache_dirty_) {
       Status s = block_table_->MarkDirty(original);
       assert(s.ok());
@@ -264,13 +252,12 @@ Status AdaptiveDriver::SubmitBlockBatch(const BlockRequest* requests,
     if (system_.halted()) break;  // dead machine: the rest is simply lost
     // A batched window is sound only when nobody needs the intermediate
     // clock states: no armed idle sink (it would be offered idle spans by
-    // the per-request path), no stepped-advance oracle, and — when a sink
-    // is registered at all — no internal op in flight (its stall charge
-    // reads the clock at each arrival).
+    // the per-request path) and — when a sink is registered at all — no
+    // internal op in flight (its stall charge reads the clock at each
+    // arrival).
     const bool stepped =
-        config_.stepped_advance ||
-        (idle_sink_ != nullptr &&
-         (idle_sink_->wants_idle() || system_.current_is_internal()));
+        idle_sink_ != nullptr &&
+        (idle_sink_->wants_idle() || system_.current_is_internal());
     std::size_t j = i;
     if (!stepped && system_.busy()) {
       const Micros completes = *system_.next_completion_time();
@@ -368,11 +355,15 @@ Status AdaptiveDriver::RouteRawFragment(std::int32_t device, SectorNo sector,
     NoteExternalArrival();
   }
 
-  if (original_key != kInvalidBlock &&
-      !(config_.translation_fast_path &&
-        !translation_filter_.MayContain(original_key))) {
-    if (config_.translation_fast_path && cache_valid_ &&
-        cache_original_ == original_key && block_extents.size() == 1) {
+  const bool may_translate = original_key != kInvalidBlock &&
+                             translation_filter_.MayContain(original_key);
+  // A filter miss proves the block has no table entry and no move chain.
+  assert(may_translate || original_key == kInvalidBlock ||
+         Untranslated(original_key));
+  if (may_translate) {
+    if (cache_valid_ && cache_original_ == original_key &&
+        block_extents.size() == 1) {
+      assert(CacheMatchesTable());
       if (type == sched::IoType::kWrite && !cache_dirty_) {
         Status s = block_table_->MarkDirty(original_key);
         assert(s.ok());
@@ -1146,9 +1137,8 @@ void AdaptiveDriver::AdvanceTo(Micros t) {
   // (no sink at all, or a continuous arranger with no plan open — the
   // common case for onoff/sweep/policy/bench days). Exact: the stepped
   // loop below performs the same completion sequence, and OnIdle would
-  // decline every offer. config_.stepped_advance forces the stepped oracle.
-  if ((idle_sink_ == nullptr || !idle_sink_->wants_idle()) &&
-      !config_.stepped_advance) {
+  // decline every offer.
+  if (idle_sink_ == nullptr || !idle_sink_->wants_idle()) {
     system_.AdvanceTo(t);
     return;
   }

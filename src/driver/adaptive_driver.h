@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,12 +40,6 @@ struct DriverConfig {
   /// Disk-queue policy; the measured driver uses SCAN.
   sched::SchedulerKind scheduler = sched::SchedulerKind::kScan;
 
-  /// When set, the driver uses the multimap reference scheduler
-  /// (scheduler_ref.h) instead of the flat production one. Benchmarks use
-  /// this to measure the flat queues against the original implementation
-  /// on identical whole-day workloads.
-  bool reference_scheduler = false;
-
   /// Bounded retry budget for transient media errors: a request failing
   /// with MediaStatus::kTransientError is re-issued up to this many times
   /// before the driver gives up (external requests fail; internal move
@@ -59,20 +54,6 @@ struct DriverConfig {
   /// redirection is permanent). block_table_capacity must leave room for
   /// them on top of the arranger's share.
   std::int32_t spare_slots = 0;
-
-  /// When set (the default), per-request translation consults a coarse
-  /// presence filter plus a last-translation cache before the exact
-  /// move-chain and block-table probes. When clear, every request takes
-  /// the direct probes — the oracle the differential test and bench_e2e
-  /// compare the fast path against. Both paths produce bit-identical
-  /// request streams and metrics.
-  bool translation_fast_path = true;
-
-  /// Oracle switch (`abrsim --stepped-advance`): force AdvanceTo() to walk
-  /// the clock completion by completion even when no idle sink wants the
-  /// intermediate idle windows. The default batched advance is bit-identical
-  /// by construction; this flag exists so differential runs can prove it.
-  bool stepped_advance = false;
 };
 
 /// Receives disk-idle windows from the driver. Registered by the
@@ -299,6 +280,7 @@ class AdaptiveDriver : private sim::CompletionSink {
   /// span is offered to the sink — which is what makes "preempt the
   /// moment user requests arrive" exact rather than tick-granular.
   void set_idle_sink(IdleSink* sink) { idle_sink_ = sink; }
+  IdleSink* idle_sink() const { return idle_sink_; }
 
   /// Sectors per file-system block.
   std::int32_t block_sectors() const { return block_sectors_; }
@@ -422,6 +404,24 @@ class AdaptiveDriver : private sim::CompletionSink {
   /// True iff a move chain is active for the block keyed by `original`.
   bool IsMoving(SectorNo original) const {
     return moving_.contains(original);
+  }
+
+  // Debug checks of the translation fast path against the direct probes;
+  // asserted at its two exits, so they run on every translation.
+
+  /// True iff `original` has no table entry and no active move chain, as
+  /// a presence-filter miss claims.
+  bool Untranslated(SectorNo original) const {
+    return !IsMoving(original) && !block_table_->Lookup(original).has_value();
+  }
+
+  /// True iff the last-translation cache agrees with the table entry's
+  /// slot and dirty bit, and the cached block is not moving.
+  bool CacheMatchesTable() const {
+    const std::optional<BlockTableEntry> e =
+        block_table_->LookupEntry(cache_original_);
+    return e.has_value() && e->relocated == cache_relocated_ &&
+           e->dirty == cache_dirty_ && !IsMoving(cache_original_);
   }
 
   // --- Translation fast-path maintenance (keep the presence filter and

@@ -21,7 +21,7 @@ namespace abr::sched {
 ///
 /// The cylinder-ordered policies share one FlatRequestQueue (flat sorted
 /// key/request arrays with lazy deletion) instead of a per-policy
-/// std::multimap; the multimap originals live on in scheduler_ref.h as
+/// std::multimap; the multimap originals live on under tests/oracles as
 /// differential-test oracles. size() is always derived from the underlying
 /// container, so it cannot drift from the queue's actual contents.
 class Scheduler {

@@ -15,8 +15,8 @@ namespace abr {
 /// 5 and 7); Zipf-like rank/frequency curves are the standard synthetic
 /// model for that skew. Sampling uses Vose's alias method: two table reads
 /// and one comparison per draw — O(1) regardless of n, where the previous
-/// inverse-CDF sampler (kept as util/zipf_ref.h) paid an O(log n) binary
-/// search per request. The workload generator draws one rank per generated
+/// inverse-CDF sampler (kept as a test oracle under tests/oracles) paid an
+/// O(log n) binary search per request. The workload generator draws one rank per generated
 /// request, so this sits on the end-to-end hot path.
 class ZipfSampler {
  public:

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "analyzer/space_saving_ref.h"
+#include "oracles/space_saving_ref.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 

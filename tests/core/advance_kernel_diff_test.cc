@@ -1,13 +1,17 @@
 // Differential tests for the batched driver stepping kernels.
 //
 // AdaptiveDriver::AdvanceTo and SubmitBlockBatch take a batched fast path
-// whenever no idle sink wants the clock walked completion by completion;
-// DriverConfig::stepped_advance is the retained oracle that forces the
-// original stepped loops everywhere (abrsim --stepped-advance). Twin runs
-// of the same seeded fleet day — one batched, one stepped — must land on
-// bit-identical day metrics, mapping tables, and payload images, with and
-// without a continuous plan armed (the armed plan is exactly the case the
-// batched path must step through).
+// whenever no idle sink wants the clock walked completion by completion.
+// The stepped twin forces the original stepped loops from outside the
+// driver: each member driver gets a SteppingSink in front of the sink its
+// system registered (a continuous arranger, an array member's resync and
+// scrub pump, or none). It forwards every idle offer and busy signal but
+// always wants idle windows, so the driver never batches. Twin runs of the
+// same seeded days — production and stepped — must land on bit-identical
+// day metrics, mapping tables and payload images: on the sharded fleet
+// with and without a continuous plan armed (the armed plan is exactly the
+// case the batched path must step through), and on a RAID0 array and a
+// scrubbing RAID1 array.
 
 #include "core/sharded_system.h"
 
@@ -15,9 +19,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <vector>
 
+#include "array/array_device.h"
 #include "core/array_day.h"
 #include "core/metrics.h"
+#include "driver/adaptive_driver.h"
 
 namespace abr::core {
 namespace {
@@ -96,19 +104,40 @@ std::uint64_t PayloadFp(const disk::Disk& disk) {
 
 // --- Twin runs --------------------------------------------------------------
 
-ShardedSystemConfig MiniConfig(std::int32_t shards, bool continuous,
-                               bool stepped) {
-  ShardedSystemConfig config;
-  config.shards = shards;
-  config.threads = 1;
-  config.epoch = 30 * kSecond;
-  config.drive = disk::DriveSpec::TestDrive();
-  config.reserved_cylinders = 10;
-  config.rearrange_blocks = 64;
-  config.system.continuous = continuous;
-  config.system.driver.stepped_advance = stepped;
-  return config;
-}
+/// Forces the stepped loops on one driver: registered in front of the sink
+/// the system installed, it forwards every offer and busy signal to that
+/// sink but always wants idle windows, so AdvanceTo and SubmitBlockBatch
+/// never take their batched paths.
+class SteppingSink final : public driver::IdleSink {
+ public:
+  explicit SteppingSink(driver::AdaptiveDriver& drv)
+      : inner_(drv.idle_sink()) {
+    drv.set_idle_sink(this);
+  }
+
+  void OnIdle(Micros horizon) override {
+    ++offers_;
+    if (inner_ != nullptr) inner_->OnIdle(horizon);
+  }
+  void OnBusy() override {
+    if (inner_ != nullptr) inner_->OnBusy();
+  }
+  bool wants_idle() const override { return true; }
+
+  /// Idle windows the driver offered: nonzero proves the run stepped.
+  std::int64_t offers() const { return offers_; }
+
+ private:
+  driver::IdleSink* inner_;
+  std::int64_t offers_ = 0;
+};
+
+/// One twin's outcome: everything observable folded into a fingerprint,
+/// plus the idle offers its stepping sinks saw (0 for production).
+struct Outcome {
+  std::uint64_t fp = 0xFEED;
+  std::int64_t offers = 0;
+};
 
 ArrayDayConfig MiniDay() {
   ArrayDayConfig day;
@@ -124,72 +153,133 @@ ArrayDayConfig MiniDay() {
   return day;
 }
 
-/// Runs an off/on day sequence and folds everything observable into one
-/// fingerprint: per-day metrics plus final mapping tables and payloads.
-std::uint64_t RunScenario(std::int32_t shards, bool continuous,
-                          bool stepped) {
-  ShardedSystem sys(MiniConfig(shards, continuous, stepped));
-  EXPECT_TRUE(sys.Start().ok());
-  ArrayDayRunner runner(&sys, MiniDay());
+/// Runs two days on each side of the on/off protocol on a started device
+/// whose member drivers are `members`. With `stepped`, each of them gets a
+/// SteppingSink first.
+Outcome RunTwin(array::BarrierEngine& dev,
+                const std::vector<driver::AdaptiveDriver*>& members,
+                bool stepped) {
+  std::vector<std::unique_ptr<SteppingSink>> sinks;
+  if (stepped) {
+    for (driver::AdaptiveDriver* drv : members) {
+      sinks.push_back(std::make_unique<SteppingSink>(*drv));
+    }
+  }
+  ArrayDayRunner runner(&dev, MiniDay());
   StatusOr<OnOffResult> result = RunOnOffLoop(runner, /*days=*/2);
   EXPECT_TRUE(result.ok());
-  std::uint64_t h = 0xFEED;
-  for (const DayMetrics& d : result->off_days) h = Mix(h, DayFp(d));
-  for (const DayMetrics& d : result->on_days) h = Mix(h, DayFp(d));
-  for (std::int32_t s = 0; s < shards; ++s) {
-    h = Mix(h, TableFp(sys.shard_driver(s)));
-    h = Mix(h, PayloadFp(sys.shard_driver(s).disk()));
+  Outcome out;
+  if (!result.ok()) return out;
+  for (const DayMetrics& d : result->off_days) out.fp = Mix(out.fp, DayFp(d));
+  for (const DayMetrics& d : result->on_days) out.fp = Mix(out.fp, DayFp(d));
+  for (driver::AdaptiveDriver* drv : members) {
+    out.fp = Mix(out.fp, TableFp(*drv));
+    out.fp = Mix(out.fp, PayloadFp(drv->disk()));
   }
-  return h;
+  for (const auto& sink : sinks) out.offers += sink->offers();
+  return out;
+}
+
+ShardedSystemConfig MiniConfig(std::int32_t shards, bool continuous) {
+  ShardedSystemConfig config;
+  config.shards = shards;
+  config.threads = 1;
+  config.epoch = 30 * kSecond;
+  config.drive = disk::DriveSpec::TestDrive();
+  config.reserved_cylinders = 10;
+  config.rearrange_blocks = 64;
+  config.system.continuous = continuous;
+  return config;
+}
+
+Outcome RunFleet(std::int32_t shards, bool continuous, bool stepped) {
+  ShardedSystem sys(MiniConfig(shards, continuous));
+  EXPECT_TRUE(sys.Start().ok());
+  std::vector<driver::AdaptiveDriver*> members;
+  for (std::int32_t s = 0; s < shards; ++s) {
+    members.push_back(&sys.shard_driver(s));
+  }
+  return RunTwin(sys, members, stepped);
+}
+
+/// Production and stepped twins must agree bit for bit, and the stepped
+/// twin must really have stepped.
+void ExpectTwinsAgree(const Outcome& batched, const Outcome& stepped) {
+  EXPECT_EQ(batched.fp, stepped.fp);
+  EXPECT_GT(stepped.offers, 0);
 }
 
 TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedSerial) {
   // One shard, batch arranger: no idle sink registered, so the batched
   // AdvanceTo covers the entire day.
-  EXPECT_EQ(RunScenario(1, /*continuous=*/false, /*stepped=*/false),
-            RunScenario(1, /*continuous=*/false, /*stepped=*/true));
+  ExpectTwinsAgree(RunFleet(1, /*continuous=*/false, /*stepped=*/false),
+                   RunFleet(1, /*continuous=*/false, /*stepped=*/true));
 }
 
 TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedContinuousPlan) {
   // Continuous arranger armed: a sink is registered and plans open on
   // on-days, so the batched path must fall back to stepping exactly while
   // a plan is live and may batch in between.
-  EXPECT_EQ(RunScenario(1, /*continuous=*/true, /*stepped=*/false),
-            RunScenario(1, /*continuous=*/true, /*stepped=*/true));
+  ExpectTwinsAgree(RunFleet(1, /*continuous=*/true, /*stepped=*/false),
+                   RunFleet(1, /*continuous=*/true, /*stepped=*/true));
 }
 
 TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedFleet) {
-  EXPECT_EQ(RunScenario(3, /*continuous=*/false, /*stepped=*/false),
-            RunScenario(3, /*continuous=*/false, /*stepped=*/true));
+  ExpectTwinsAgree(RunFleet(3, /*continuous=*/false, /*stepped=*/false),
+                   RunFleet(3, /*continuous=*/false, /*stepped=*/true));
 }
 
 TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedFleetContinuous) {
-  EXPECT_EQ(RunScenario(3, /*continuous=*/true, /*stepped=*/false),
-            RunScenario(3, /*continuous=*/true, /*stepped=*/true));
+  ExpectTwinsAgree(RunFleet(3, /*continuous=*/true, /*stepped=*/false),
+                   RunFleet(3, /*continuous=*/true, /*stepped=*/true));
 }
 
-TEST(AdvanceKernelDiffTest, AnalyticSeekOracleMatchesLutEndToEnd) {
-  // The seek-LUT oracle rides the same twin harness: flipping the drive's
-  // seek evaluation to per-call analytic must not move a single bit.
-  ShardedSystemConfig lut = MiniConfig(1, /*continuous=*/false,
-                                       /*stepped=*/false);
-  ShardedSystemConfig ana = lut;
-  ana.drive.analytic_seek = true;
-  ana.drive.seek_model.set_analytic(true);
-  auto run = [](const ShardedSystemConfig& config) {
-    ShardedSystem sys(config);
-    EXPECT_TRUE(sys.Start().ok());
-    ArrayDayRunner runner(&sys, MiniDay());
-    StatusOr<OnOffResult> result = RunOnOffLoop(runner, 2);
-    EXPECT_TRUE(result.ok());
-    std::uint64_t h = 0xFEED;
-    for (const DayMetrics& d : result->off_days) h = Mix(h, DayFp(d));
-    for (const DayMetrics& d : result->on_days) h = Mix(h, DayFp(d));
-    h = Mix(h, TableFp(sys.shard_driver(0)));
-    h = Mix(h, PayloadFp(sys.shard_driver(0).disk()));
-    return h;
-  };
-  EXPECT_EQ(run(lut), run(ana));
+// --- Arrays -----------------------------------------------------------------
+
+array::ArrayConfig MiniArray(array::RaidLevel level, std::int32_t members,
+                             std::int32_t scrub_batch) {
+  array::ArrayConfig c;
+  c.level = level;
+  c.members = members;
+  c.threads = 1;
+  c.epoch = 30 * kSecond;
+  c.drive = disk::DriveSpec::TestDrive();
+  c.reserved_cylinders = 10;
+  c.rearrange_blocks = 48;
+  c.spare_slots = 4;
+  c.scrub_batch = scrub_batch;
+  return c;
+}
+
+Outcome RunArray(array::RaidLevel level, std::int32_t members,
+                 std::int32_t scrub_batch, bool stepped) {
+  array::ArrayDevice dev(MiniArray(level, members, scrub_batch));
+  EXPECT_TRUE(dev.Start().ok()) << dev.first_error();
+  // No member dies in these days, so each driver lives the whole run.
+  std::vector<driver::AdaptiveDriver*> drivers;
+  for (std::int32_t m = 0; m < members; ++m) {
+    drivers.push_back(&dev.member_driver(m));
+  }
+  Outcome out = RunTwin(dev, drivers, stepped);
+  EXPECT_TRUE(dev.first_error().empty()) << dev.first_error();
+  return out;
+}
+
+TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedRaid0) {
+  // Four striped members with no resync or scrub: member sinks are
+  // registered but never want idle time, so production batches all day.
+  ExpectTwinsAgree(
+      RunArray(array::RaidLevel::kRaid0, 4, /*scrub_batch=*/0, false),
+      RunArray(array::RaidLevel::kRaid0, 4, /*scrub_batch=*/0, true));
+}
+
+TEST(AdvanceKernelDiffTest, BatchedMatchesSteppedRaid1Scrub) {
+  // A scrubbing mirror: members want idle windows while cold blocks are
+  // queued, so production steps through those stretches and batches the
+  // rest.
+  ExpectTwinsAgree(
+      RunArray(array::RaidLevel::kRaid1, 2, /*scrub_batch=*/4, false),
+      RunArray(array::RaidLevel::kRaid1, 2, /*scrub_batch=*/4, true));
 }
 
 }  // namespace

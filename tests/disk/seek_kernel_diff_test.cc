@@ -1,8 +1,9 @@
 // Differential tests for the hot seek/rotation kernels.
 //
 // The seek lookup table must be bit-identical to the retained analytic
-// evaluator (the oracle behind --analytic-seek) at every cylinder
-// distance of both paper drives. The strength-reduced rotation kernel in
+// evaluator (SeekModel::AnalyticMillis) at every cylinder distance of
+// both paper drives and of the test drive's linear model. The
+// strength-reduced rotation kernel in
 // Disk::Service must be integer-identical to the original double-modulo
 // phase computation for every arrival pattern, including the anchor
 // fallback paths (backward time, jumps longer than one rotation).
@@ -13,24 +14,23 @@
 
 #include <cstdint>
 
+#include "disk/drive_spec.h"
 #include "disk/seek_model.h"
 #include "util/rng.h"
 
 namespace abr::disk {
 namespace {
 
-// --- Seek LUT vs analytic oracle -------------------------------------------
+// --- Seek LUT vs analytic evaluator ----------------------------------------
 
-void ExpectLutMatchesAnalytic(const SeekModel& table) {
-  SeekModel analytic = table;
-  analytic.set_analytic(true);
-  ASSERT_TRUE(analytic.analytic());
-  ASSERT_FALSE(table.analytic());
-  for (std::int64_t d = 0; d <= table.max_distance(); ++d) {
+void ExpectLutMatchesAnalytic(const SeekModel& model) {
+  for (std::int64_t d = 0; d <= model.max_distance(); ++d) {
     // Bit-identical, not approximately equal: the table entry was filled
-    // by the very same evaluation the analytic mode performs per call.
-    EXPECT_EQ(table.Millis(d), analytic.Millis(d)) << "d=" << d;
-    EXPECT_EQ(table.TimeFor(d), analytic.TimeFor(d)) << "d=" << d;
+    // by the very same evaluation the reference evaluator performs per
+    // call, and rounded to microseconds the same way.
+    const double ms = model.AnalyticMillis(d);
+    EXPECT_EQ(model.Millis(d), ms) << "d=" << d;
+    EXPECT_EQ(model.TimeFor(d), MillisToMicros(ms)) << "d=" << d;
   }
 }
 
@@ -42,11 +42,23 @@ TEST(SeekKernelDiffTest, FujitsuLutMatchesAnalyticEverywhere) {
   ExpectLutMatchesAnalytic(SeekModel::FujitsuM2266());
 }
 
+TEST(SeekKernelDiffTest, TestDriveLutMatchesAnalyticEverywhere) {
+  const DriveSpec spec = DriveSpec::TestDrive();
+  ASSERT_EQ(spec.seek_model.max_distance(), spec.geometry.cylinders - 1);
+  ExpectLutMatchesAnalytic(spec.seek_model);
+}
+
 TEST(SeekKernelDiffTest, AnalyticZeroDistanceStaysFree) {
-  SeekModel m = SeekModel::ToshibaMK156F();
-  m.set_analytic(true);
-  EXPECT_DOUBLE_EQ(m.Millis(0), 0.0);
-  EXPECT_EQ(m.TimeFor(0), 0);
+  // The raw curves are not zero at d=0 (Linear returns its base, the
+  // Table 1 fits take log 0); the evaluator must apply the same
+  // zero-length override as the table.
+  for (const SeekModel& m :
+       {SeekModel::ToshibaMK156F(), SeekModel::FujitsuM2266(),
+        DriveSpec::TestDrive().seek_model}) {
+    EXPECT_DOUBLE_EQ(m.AnalyticMillis(0), 0.0);
+    EXPECT_DOUBLE_EQ(m.Millis(0), 0.0);
+    EXPECT_EQ(m.TimeFor(0), 0);
+  }
 }
 
 // --- Rotation kernel vs double-modulo oracle -------------------------------

@@ -1,18 +1,20 @@
-// Randomized differential test of the translation fast path: two drivers
-// over identical disks — one with the presence filter + last-translation
-// cache (production), one taking the direct move-chain and FlatMap64
-// probes on every request (the oracle) — are driven through the same
-// randomized sequence of block I/O, raw I/O, DKIOCBCOPY, DKIOCCLEAN,
-// clean reboots and crash re-attaches. Every observable must stay
-// bit-identical at every step: request outcomes, simulated time, block
-// table contents, the request-monitoring table, and the full performance
-// histograms. The fast path is allowed to change wall-clock only.
+// Randomized check of the translation fast path. One driver is driven
+// through a randomized sequence of block I/O, raw I/O, DKIOCBCOPY,
+// DKIOCCLEAN, clean reboots and crash re-attaches, so its presence filter
+// and last-translation cache see every kind of table and move-chain
+// mutation.
+//
+// The oracle is inside the driver: at both exits of the fast path it
+// asserts that the direct move-chain and block-table probes give the same
+// answer. A filter miss must mean no table entry and no active chain; a
+// cache hit must match the table entry's slot and dirty bit, with the
+// block not moving. Every translation of this run is checked that way in
+// any build that keeps assert() (the default one does).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "disk/drive_spec.h"
 #include "driver/adaptive_driver.h"
@@ -24,105 +26,40 @@ namespace {
 constexpr std::int32_t kBlocks = 64;       // logical blocks exercised
 constexpr std::int32_t kBlockSectors = 16; // TestDrive block size
 
-/// Flattens a PerfSnapshot into an exactly comparable integer vector.
-std::vector<std::int64_t> PerfFingerprint(const PerfSnapshot& s) {
-  std::vector<std::int64_t> fp;
-  for (const PerfSide* side : {&s.reads, &s.writes, &s.all}) {
-    for (std::int64_t c : side->fcfs_seek_distance.counts()) fp.push_back(c);
-    fp.push_back(-1);
-    for (std::int64_t c : side->sched_seek_distance.counts()) fp.push_back(c);
-    fp.push_back(-1);
-    fp.push_back(side->service_time.count());
-    fp.push_back(side->service_time.total());
-    fp.push_back(side->queue_time.count());
-    fp.push_back(side->queue_time.total());
-    fp.push_back(side->rotation_total);
-    fp.push_back(side->transfer_total);
-    fp.push_back(side->buffer_hits);
+class TranslationFastPathTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    disk_ = std::make_unique<disk::Disk>(disk::DriveSpec::TestDrive());
+    Rebuild(/*after_crash=*/false);
   }
-  fp.push_back(s.faults.media_errors);
-  fp.push_back(s.faults.retries);
-  fp.push_back(s.faults.failed_requests);
-  fp.push_back(s.faults.aborted_chains);
-  fp.push_back(s.faults.recovery_dirtied);
-  fp.push_back(s.faults.recovery_fallbacks);
-  return fp;
-}
-
-/// One driver + its private disk and table store. Both instances see the
-/// same operations; only `fast_path` differs.
-struct Instance {
-  std::unique_ptr<disk::Disk> disk;
-  InMemoryTableStore store;
-  std::unique_ptr<AdaptiveDriver> driver;
-  bool fast_path = false;
 
   void Rebuild(bool after_crash) {
-    driver.reset();
-    auto label = disk::DiskLabel::Rearranged(disk->geometry(), 10);
+    driver_.reset();
+    auto label = disk::DiskLabel::Rearranged(disk_->geometry(), 10);
     ASSERT_TRUE(label.ok());
     ASSERT_TRUE(label->PartitionEvenly(1).ok());
     DriverConfig config;
     config.block_table_capacity = 16;
-    config.translation_fast_path = fast_path;
-    driver = std::make_unique<AdaptiveDriver>(disk.get(), std::move(*label),
-                                              config, &store);
-    ASSERT_TRUE(driver->Attach(after_crash).ok());
-  }
-};
-
-class TranslationFastPathTest : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  void SetUp() override {
-    fast_.fast_path = true;
-    slow_.fast_path = false;
-    for (Instance* inst : {&fast_, &slow_}) {
-      inst->disk = std::make_unique<disk::Disk>(disk::DriveSpec::TestDrive());
-      inst->Rebuild(/*after_crash=*/false);
-    }
+    driver_ = std::make_unique<AdaptiveDriver>(disk_.get(), std::move(*label),
+                                               config, &store_);
+    ASSERT_TRUE(driver_->Attach(after_crash).ok());
   }
 
-  /// Compares every cheap observable; called after each step.
-  void CheckStep() {
-    ASSERT_EQ(fast_.driver->now(), slow_.driver->now());
-    ASSERT_EQ(fast_.driver->held_request_count(),
-              slow_.driver->held_request_count());
-    ASSERT_EQ(fast_.driver->internal_io_count(),
-              slow_.driver->internal_io_count());
-    ASSERT_EQ(fast_.driver->internal_io_time(),
-              slow_.driver->internal_io_time());
-    const auto& fe = fast_.driver->block_table().entries();
-    const auto& se = slow_.driver->block_table().entries();
-    ASSERT_EQ(fe.size(), se.size());
-    for (std::size_t i = 0; i < fe.size(); ++i) {
-      ASSERT_EQ(fe[i].original, se[i].original) << "entry " << i;
-      ASSERT_EQ(fe[i].relocated, se[i].relocated) << "entry " << i;
-      ASSERT_EQ(fe[i].dirty, se[i].dirty) << "entry " << i;
-    }
+  /// After a drain nothing may be held or moving.
+  void ExpectQuiet() {
+    EXPECT_EQ(driver_->held_request_count(), 0u);
+    EXPECT_EQ(driver_->active_chain_count(), 0u);
   }
 
-  /// Compares the expensive observables (drains both monitors).
-  void CheckDeep() {
-    const std::vector<RequestRecord> fr = fast_.driver->IoctlReadRequests();
-    const std::vector<RequestRecord> sr = slow_.driver->IoctlReadRequests();
-    ASSERT_EQ(fr.size(), sr.size());
-    for (std::size_t i = 0; i < fr.size(); ++i) {
-      ASSERT_EQ(fr[i].device, sr[i].device) << "record " << i;
-      ASSERT_EQ(fr[i].block, sr[i].block) << "record " << i;
-      ASSERT_EQ(fr[i].size_bytes, sr[i].size_bytes) << "record " << i;
-      ASSERT_EQ(fr[i].type, sr[i].type) << "record " << i;
-    }
-    ASSERT_EQ(PerfFingerprint(fast_.driver->IoctlReadStats()),
-              PerfFingerprint(slow_.driver->IoctlReadStats()));
-  }
-
-  Instance fast_;
-  Instance slow_;
+  std::unique_ptr<disk::Disk> disk_;
+  InMemoryTableStore store_;
+  std::unique_ptr<AdaptiveDriver> driver_;
 };
 
 TEST_P(TranslationFastPathTest, BitIdenticalUnderRandomOperations) {
   Rng rng(GetParam());
   Micros t = 0;
+  std::int64_t copies = 0;
 
   for (int step = 0; step < 400; ++step) {
     const double r = rng.NextDouble();
@@ -133,9 +70,7 @@ TEST_P(TranslationFastPathTest, BitIdenticalUnderRandomOperations) {
       const sched::IoType type = rng.NextBernoulli(0.3)
                                      ? sched::IoType::kWrite
                                      : sched::IoType::kRead;
-      const Status fs = fast_.driver->SubmitBlock(0, block, type, t);
-      const Status ss = slow_.driver->SubmitBlock(0, block, type, t);
-      ASSERT_EQ(fs.ToString(), ss.ToString());
+      ASSERT_TRUE(driver_->SubmitBlock(0, block, type, t).ok());
     } else if (r < 0.6) {
       // Raw request, possibly spanning block boundaries (physio split).
       const SectorNo sector = static_cast<SectorNo>(
@@ -145,66 +80,52 @@ TEST_P(TranslationFastPathTest, BitIdenticalUnderRandomOperations) {
       const sched::IoType type = rng.NextBernoulli(0.3)
                                      ? sched::IoType::kWrite
                                      : sched::IoType::kRead;
-      const Status fs = fast_.driver->SubmitRaw(0, sector, count, type, t);
-      const Status ss = slow_.driver->SubmitRaw(0, sector, count, type, t);
-      ASSERT_EQ(fs.ToString(), ss.ToString());
+      ASSERT_TRUE(driver_->SubmitRaw(0, sector, count, type, t).ok());
     } else if (r < 0.72) {
       // Copy a random block into a random reserved slot. May legitimately
-      // fail (occupied / duplicate / table full) — identically on both.
+      // fail (occupied / duplicate / table full).
       const BlockNo block = static_cast<BlockNo>(rng.NextBounded(kBlocks));
       auto extents =
-          fast_.driver->MapVirtualExtent(block * kBlockSectors, kBlockSectors);
+          driver_->MapVirtualExtent(block * kBlockSectors, kBlockSectors);
       ASSERT_EQ(extents.size(), 1u);
       const std::int32_t slot = static_cast<std::int32_t>(rng.NextBounded(
-          static_cast<std::uint64_t>(fast_.driver->reserved_slot_count())));
-      const Status fs = fast_.driver->IoctlCopyBlock(
-          extents[0].sector, fast_.driver->ReservedSlotSector(slot));
-      const Status ss = slow_.driver->IoctlCopyBlock(
-          extents[0].sector, slow_.driver->ReservedSlotSector(slot));
-      ASSERT_EQ(fs.ToString(), ss.ToString());
+          static_cast<std::uint64_t>(driver_->reserved_slot_count())));
+      if (driver_->IoctlCopyBlock(extents[0].sector,
+                                  driver_->ReservedSlotSector(slot))
+              .ok()) {
+        ++copies;
+      }
     } else if (r < 0.8) {
-      // Busy when a previous clean is still pumping — identically on both.
-      const Status fs = fast_.driver->IoctlClean();
-      const Status ss = slow_.driver->IoctlClean();
-      ASSERT_EQ(fs.ToString(), ss.ToString());
+      // Busy while a previous clean is still pumping.
+      (void)driver_->IoctlClean();
     } else if (r < 0.88) {
-      // Let queued work complete before comparing.
-      fast_.driver->Drain();
-      slow_.driver->Drain();
-      CheckDeep();
+      driver_->Drain();
+      ExpectQuiet();
     } else if (r < 0.94) {
-      // Crash: both drivers lose their in-memory dirty bits and recover
-      // conservatively from their stores.
-      fast_.driver->Drain();
-      slow_.driver->Drain();
-      fast_.Rebuild(/*after_crash=*/true);
-      slow_.Rebuild(/*after_crash=*/true);
+      // Crash: the driver loses its in-memory dirty bits and recovers
+      // conservatively from the store.
+      driver_->Drain();
+      Rebuild(/*after_crash=*/true);
       t = 0;
     } else {
       // Clean reboot through Detach().
-      ASSERT_TRUE(fast_.driver->Detach().ok());
-      ASSERT_TRUE(slow_.driver->Detach().ok());
-      fast_.Rebuild(/*after_crash=*/false);
-      slow_.Rebuild(/*after_crash=*/false);
+      ASSERT_TRUE(driver_->Detach().ok());
+      Rebuild(/*after_crash=*/false);
       t = 0;
     }
-    CheckStep();
   }
+  // The sequence must have put blocks in the table for the cache and the
+  // filter's positive side to be exercised at all.
+  EXPECT_GT(copies, 0);
 
-  fast_.driver->Drain();
-  slow_.driver->Drain();
-  CheckStep();
-  CheckDeep();
+  driver_->Drain();
+  ExpectQuiet();
 
-  // Final clean-out must retire every entry on both sides.
-  ASSERT_TRUE(fast_.driver->IoctlClean().ok());
-  ASSERT_TRUE(slow_.driver->IoctlClean().ok());
-  fast_.driver->Drain();
-  slow_.driver->Drain();
-  EXPECT_EQ(fast_.driver->block_table().size(), 0);
-  EXPECT_EQ(slow_.driver->block_table().size(), 0);
-  CheckStep();
-  CheckDeep();
+  // Final clean-out must retire every entry.
+  ASSERT_TRUE(driver_->IoctlClean().ok());
+  driver_->Drain();
+  ExpectQuiet();
+  EXPECT_EQ(driver_->block_table().size(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TranslationFastPathTest,

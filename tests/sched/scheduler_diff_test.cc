@@ -4,7 +4,7 @@
 // dequeues — with duplicate cylinders, moving heads, and empty-queue
 // probes — and must emit identical service orders throughout.
 
-#include "sched/scheduler_ref.h"
+#include "oracles/scheduler_ref.h"
 
 #include <gtest/gtest.h>
 

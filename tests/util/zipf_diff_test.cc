@@ -12,7 +12,7 @@
 
 #include "util/rng.h"
 #include "util/zipf.h"
-#include "util/zipf_ref.h"
+#include "oracles/zipf_ref.h"
 
 namespace abr {
 namespace {
