@@ -102,14 +102,16 @@ struct ArrayHarnessResult {
 /// every member it was fanned to that is still in the mirror — a member's
 /// death retroactively releases its unfinished copies, exactly like a
 /// mirror controller failing over. The harness stamps each member's
-/// payload at the completed request's physical sector at completion time.
+/// payload at the completed request's physical sector when the device's
+/// merged completion stream delivers it: at the next barrier, in simulated
+/// time order, before any barrier work can copy or remap that sector.
 ///
 /// The arranger runs in full-rebuild (oracle) mode: an executed pass's
 /// end table is then a pure function of its ranked list, and ranked lists
 /// derive from submission-only reference counts — so once the reattached
 /// member has resynced and one final all-online pass runs, both runs'
 /// tables provably coincide.
-class ArrayCrashHarness : public ArrayCompletionSink {
+class ArrayCrashHarness : public sim::ShardCompletionSink {
  public:
   explicit ArrayCrashHarness(ArrayHarnessConfig config);
   ~ArrayCrashHarness() override;
@@ -125,9 +127,9 @@ class ArrayCrashHarness : public ArrayCompletionSink {
   static std::uint64_t PayloadValue(BlockNo block, std::uint64_t version,
                                     std::int64_t offset);
 
-  // ArrayCompletionSink
-  void OnMemberIoComplete(std::int32_t member,
-                          const sim::CompletedIo& done) override;
+  /// The device's merged completion stream, delivered at each barrier.
+  void OnShardIoComplete(std::int32_t member,
+                         const sim::CompletedIo& done) override;
 
   /// The device under test (null only if construction failed before the
   /// array was built); abrsim's crashday table reads per-member fault
