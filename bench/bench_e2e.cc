@@ -13,8 +13,9 @@
 //     ParallelRunner::RunReplicated, again checked bit-identical. The
 //     speedup column records the measured wall-clock ratio on this
 //     machine (bounded by its core count).
-//  3. Sharded fleet scaling (kind=scaling): one virtual device striped
-//     across S member drives (core::ShardedSystem) at S=1/2/4/8 with
+//  3. Sharded fleet scaling (kind=scaling): one drive's worth of blocks
+//     striped across S member drives (an ArrayDevice at RAID0, chunk 1,
+//     members ranking from their own analyzers) at S=1/2/4/8 with
 //     lookahead-adaptive epoch barriers, each S run at threads=1 and
 //     threads=S with a bit-identity check, plus an enforced >= 5.5x
 //     wall-clock floor at 8 shards on machines with >= 8 hardware
@@ -43,7 +44,6 @@
 #include "core/experiment.h"
 #include "core/onoff.h"
 #include "core/parallel_runner.h"
-#include "core/sharded_system.h"
 #include "sched/scheduler.h"
 
 namespace {
@@ -198,23 +198,48 @@ void BenchReplication(const Options& opt,
   metrics.push_back(m);
 }
 
-/// One timed sharded fleet run: two measured days with a rearrangement
-/// pass between them (the on-day shape), at a given worker-thread count.
-struct ShardedRun {
+/// One timed barrier-device run: off day, rearrangement pass, on day, at
+/// the config's worker-thread count.
+struct DeviceRun {
   std::vector<std::vector<core::DayMetrics>> days;
   std::int64_t generated = 0;
   double secs = 0;
 };
 
-ShardedRun RunShardedDays(const Options& opt, std::int32_t shards,
-                          std::int32_t threads) {
-  core::ShardedSystemConfig config;
-  config.shards = shards;
+DeviceRun RunDays(const array::ArrayConfig& config,
+                  const core::ArrayDayConfig& day) {
+  DeviceRun run;
+  array::ArrayDevice device(config);
+  bench::CheckOk(device.Start(), "device start");
+  core::ArrayDayConfig span = day;
+  if (config.ranking == array::Ranking::kMemberAnalyzers) {
+    span.span_blocks = device.member_blocks();  // a fleet's day
+  }
+  core::ArrayDayRunner runner(&device, span);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<core::DayMetrics> measured;
+  measured.push_back(bench::CheckOk(runner.RunMeasuredDay(), "off day"));
+  bench::CheckOk(runner.RearrangeForNextDay(), "rearrange");
+  measured.push_back(bench::CheckOk(runner.RunMeasuredDay(), "on day"));
+  run.secs = Seconds(start, std::chrono::steady_clock::now());
+  run.days.push_back(std::move(measured));
+  run.generated = runner.requests_generated();
+  return run;
+}
+
+DeviceRun RunShardedDays(const Options& opt, std::int32_t shards,
+                         std::int32_t threads) {
+  array::ArrayConfig config;
+  config.level = array::RaidLevel::kRaid0;
+  config.members = shards;
+  config.chunk_blocks = 1;
+  config.spare_slots = 0;
+  config.ranking = array::Ranking::kMemberAnalyzers;
   config.threads = threads;
   // The scaling gate runs the engine as shipped for fleet work: adaptive
-  // windows + overlapped merge. Bit-identity vs threads=1 (checked by the
-  // caller) covers the adaptive planner too, since barriers is part of
-  // the fingerprint.
+  // windows + overlapped generation. Bit-identity vs threads=1 (checked
+  // by the caller) covers the adaptive planner too, since barriers is
+  // part of the fingerprint.
   config.adaptive_epoch = true;
 
   core::ArrayDayConfig day;
@@ -225,32 +250,17 @@ ShardedRun RunShardedDays(const Options& opt, std::int32_t shards,
     day.day_length = 4 * kMinute;
     day.synthetic.population = 500;
   } else {
-    // One global request stream over the virtual device, sized so the
-    // fleet as a whole carries shards x a single member's sustainable
-    // load — the scenario sharding exists for. Each member then sees
-    // roughly the same per-drive traffic at every shard count.
+    // One global request stream over one drive's worth of blocks, sized
+    // so the fleet as a whole carries shards x a single member's
+    // sustainable load — the scenario sharding exists for. Each member
+    // then sees roughly the same per-drive traffic at every shard count.
     day.day_length = 3 * kHour;
     day.synthetic.population = 4000;
     day.synthetic.arrivals.mean_burst_gap =
         std::max<Micros>(400 * kMillisecond / shards, 10 * kMillisecond);
     day.synthetic.arrivals.mean_burst_size = 8.0;
   }
-
-  ShardedRun run;
-  core::ShardedSystem system(config);
-  bench::CheckOk(system.Start(), "sharded start");
-  core::ArrayDayRunner runner(&system, day);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<core::DayMetrics> measured;
-  measured.push_back(
-      bench::CheckOk(runner.RunMeasuredDay(), "sharded off day"));
-  bench::CheckOk(runner.RearrangeForNextDay(), "sharded rearrange");
-  measured.push_back(
-      bench::CheckOk(runner.RunMeasuredDay(), "sharded on day"));
-  run.secs = Seconds(start, std::chrono::steady_clock::now());
-  run.days.push_back(std::move(measured));
-  run.generated = runner.requests_generated();
-  return run;
+  return RunDays(config, day);
 }
 
 /// Measurement 3: the sharded fleet engine — one virtual device striped
@@ -268,8 +278,8 @@ void BenchShardedScaling(const Options& opt,
   const unsigned hw = std::thread::hardware_concurrency();
   double speedup_at_8 = 0;
   for (const std::int32_t shards : {1, 2, 4, 8}) {
-    const ShardedRun serial = RunShardedDays(opt, shards, 1);
-    const ShardedRun parallel = RunShardedDays(opt, shards, shards);
+    const DeviceRun serial = RunShardedDays(opt, shards, 1);
+    const DeviceRun parallel = RunShardedDays(opt, shards, shards);
     if (Fingerprint(serial.days) != Fingerprint(parallel.days) ||
         serial.generated != parallel.generated) {
       std::fprintf(stderr,
@@ -332,10 +342,10 @@ void BenchShardedScaling(const Options& opt,
   }
 }
 
-/// One timed array run: off day, rearrangement pass, on day — the same
-/// shape as the sharded runs — on a raid0/raid1 ArrayDevice.
-ShardedRun RunArrayDays(const Options& opt, array::RaidLevel level,
-                        std::int32_t members, std::int32_t threads) {
+/// One timed array run on a raid0/raid1 ArrayDevice ranking from device
+/// counts, the same shape as the sharded runs.
+DeviceRun RunArrayDays(const Options& opt, array::RaidLevel level,
+                       std::int32_t members, std::int32_t threads) {
   array::ArrayConfig config;
   config.level = level;
   config.members = members;
@@ -362,19 +372,7 @@ ShardedRun RunArrayDays(const Options& opt, array::RaidLevel level,
     }
   }
 
-  ShardedRun run;
-  array::ArrayDevice device(config);
-  bench::CheckOk(device.Start(), "array start");
-  core::ArrayDayRunner runner(&device, day);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<core::DayMetrics> measured;
-  measured.push_back(bench::CheckOk(runner.RunMeasuredDay(), "array off day"));
-  bench::CheckOk(runner.RearrangeForNextDay(), "array rearrange");
-  measured.push_back(bench::CheckOk(runner.RunMeasuredDay(), "array on day"));
-  run.secs = Seconds(start, std::chrono::steady_clock::now());
-  run.days.push_back(std::move(measured));
-  run.generated = runner.requests_generated();
-  return run;
+  return RunDays(config, day);
 }
 
 /// Measurement 4: the multi-disk array layer. Same protocol as the
@@ -393,9 +391,9 @@ void BenchArrayScaling(const Options& opt,
                 {array::RaidLevel::kRaid1, 2},
                 {array::RaidLevel::kRaid1, 4}};
   for (const auto& shape : shapes) {
-    const ShardedRun serial =
+    const DeviceRun serial =
         RunArrayDays(opt, shape.level, shape.members, 1);
-    const ShardedRun parallel =
+    const DeviceRun parallel =
         RunArrayDays(opt, shape.level, shape.members, shape.members);
     if (Fingerprint(serial.days) != Fingerprint(parallel.days) ||
         serial.generated != parallel.generated) {

@@ -21,10 +21,6 @@ double WallSince(std::chrono::steady_clock::time_point t0) {
 
 BarrierEngine::~BarrierEngine() = default;
 
-Status BarrierEngine::OpenContinuousPlanAll() {
-  return Status::Unimplemented("this device has no continuous arranger");
-}
-
 void BarrierEngine::InitEngine(const Timing& timing) {
   timing_ = timing;
   lanes_.clear();

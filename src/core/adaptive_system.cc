@@ -67,6 +67,11 @@ StatusOr<placement::ArrangeResult> AdaptiveSystem::Rearrange() {
   return result;
 }
 
+StatusOr<placement::ArrangeResult> AdaptiveSystem::RearrangeFrom(
+    const std::vector<analyzer::HotBlock>& ranked) {
+  return arranger_->Rearrange(*driver_, ranked);
+}
+
 Status AdaptiveSystem::OpenContinuousPlan() {
   if (continuous_ == nullptr) {
     return Status::FailedPrecondition("continuous mode is not configured");

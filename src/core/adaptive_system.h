@@ -94,6 +94,12 @@ class AdaptiveSystem {
   /// the reference counts for the next period.
   StatusOr<placement::ArrangeResult> Rearrange();
 
+  /// Runs the arranger on a ranked list the caller supplies instead of the
+  /// analyzer's (an array that ranks from its own exact counts). The
+  /// analyzer is left as it is.
+  StatusOr<placement::ArrangeResult> RearrangeFrom(
+      const std::vector<analyzer::HotBlock>& ranked);
+
   /// Empties the reserved area (used for "rearrangement off" periods) and
   /// resets the reference counts.
   Status Clean();

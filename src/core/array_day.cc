@@ -5,15 +5,17 @@
 
 namespace abr::core {
 
-ArrayDayRunner::ArrayDayRunner(array::BarrierEngine* device,
+ArrayDayRunner::ArrayDayRunner(array::ArrayDevice* device,
                                const ArrayDayConfig& config)
     : device_(device),
       config_(config),
-      workload_(/*device=*/0, device->device_blocks(), config.synthetic,
-                config.seed) {}
+      workload_(/*device=*/0,
+                config.span_blocks > 0 ? config.span_blocks
+                                       : device->device_blocks(),
+                config.synthetic, config.seed) {}
 
 StatusOr<DayMetrics> ArrayDayRunner::RunMeasuredDay() {
-  array::BarrierEngine& dev = *device_;
+  array::ArrayDevice& dev = *device_;
   (void)dev.ReadStatsMerged(/*clear=*/true);
   const std::int64_t barriers_before = dev.barriers();
   const double stall_before = dev.barrier_stall_wall();
@@ -63,8 +65,8 @@ StatusOr<DayMetrics> ArrayDayRunner::RunMeasuredDay() {
           dev.AdvanceTo(cur_end, [&] { return generate_until(ahead); }));
     } else {
       // Routing reads member state (RAID1 head positions, write
-      // tracking), so each chunk is generated only after the one before
-      // it has been stepped.
+      // tracking) or races a member death, so each chunk is generated
+      // only after the one before it has been stepped.
       ABR_RETURN_IF_ERROR(dev.AdvanceTo(cur_end));
     }
     cur = cur_end;
@@ -110,10 +112,7 @@ Status ArrayDayRunner::OpenContinuousPlanForNextDay() {
 StatusOr<ArrayOnOffResult> RunArrayOnOff(ArrayDayRunner& runner,
                                          std::int32_t days_per_side,
                                          std::int32_t reattach_after_days) {
-  auto* dev = dynamic_cast<array::ArrayDevice*>(&runner.device());
-  if (dev == nullptr) {
-    return Status::InvalidArgument("RunArrayOnOff needs an ArrayDevice");
-  }
+  array::ArrayDevice* dev = &runner.device();
   ArrayOnOffResult result;
   std::int32_t days_degraded = 0;
   bool crash_counted = false;

@@ -1,8 +1,9 @@
 // Differential twins for lookahead-adaptive epoch barriers: the adaptive
 // engine (multi-grid windows) must be bit-identical to the fixed-epoch
-// oracle (adaptive_epoch = false) on both barrier engines — the sharded
-// fleet and the RAID array — for any thread count, under clean traffic
-// and under randomized faults, crashes, and reboots. The windows
+// oracle (adaptive_epoch = false) on both array shapes — the sharded
+// fleet (RAID0 at chunk 1 ranking from member analyzers) and the RAID
+// arrays — for any thread count, under clean traffic and under randomized
+// faults, crashes, and member deaths. The windows
 // themselves are checked against the lookahead bound: a window never
 // overshoots a member's next provable fault/crash event.
 #include <gtest/gtest.h>
@@ -14,12 +15,9 @@
 
 #include "array/array_device.h"
 #include "core/array_day.h"
-#include "core/sharded_system.h"
 #include "disk/disk.h"
 #include "disk/drive_spec.h"
-#include "driver/table_store.h"
 #include "fault/fault_plan.h"
-#include "fault/faulty_disk.h"
 #include "workload/synthetic.h"
 
 namespace abr::core {
@@ -125,10 +123,14 @@ struct HashSink : sim::ShardCompletionSink {
 
 constexpr Micros kGrid = 30 * kSecond;
 
-ShardedSystemConfig FleetConfig(std::int32_t shards, std::int32_t threads,
-                                bool adaptive) {
-  ShardedSystemConfig config;
-  config.shards = shards;
+array::ArrayConfig FleetConfig(std::int32_t shards, std::int32_t threads,
+                               bool adaptive) {
+  array::ArrayConfig config;
+  config.level = array::RaidLevel::kRaid0;
+  config.members = shards;
+  config.chunk_blocks = 1;
+  config.spare_slots = 0;
+  config.ranking = array::Ranking::kMemberAnalyzers;
   config.threads = threads;
   config.epoch = kGrid;
   config.adaptive_epoch = adaptive;
@@ -138,7 +140,8 @@ ShardedSystemConfig FleetConfig(std::int32_t shards, std::int32_t threads,
   return config;
 }
 
-ArrayDayConfig FleetDay(Micros day_length) {
+/// A fleet day addresses one member's blocks.
+ArrayDayConfig FleetDay(const array::ArrayDevice& fleet, Micros day_length) {
   ArrayDayConfig day;
   day.synthetic.population = 300;
   day.synthetic.theta = 1.0;
@@ -149,6 +152,7 @@ ArrayDayConfig FleetDay(Micros day_length) {
   day.day_length = day_length;
   day.seed = 0xC0FFEE;
   day.chunk = kGrid;  // a fleet generates on its barrier grid
+  day.span_blocks = fleet.member_blocks();
   return day;
 }
 
@@ -158,11 +162,11 @@ struct TwinOutcome {
 };
 
 TwinOutcome RunCleanFleet(bool adaptive, std::int32_t threads) {
-  ShardedSystem sys(FleetConfig(/*shards=*/3, threads, adaptive));
+  array::ArrayDevice sys(FleetConfig(/*shards=*/3, threads, adaptive));
   HashSink sink;
   sys.set_completion_sink(&sink);
   EXPECT_TRUE(sys.Start().ok());
-  ArrayDayRunner runner(&sys, FleetDay(3 * kMinute));
+  ArrayDayRunner runner(&sys, FleetDay(sys, 3 * kMinute));
 
   TwinOutcome out;
   out.fp = 0xF1EE7;
@@ -179,8 +183,8 @@ TwinOutcome RunCleanFleet(bool adaptive, std::int32_t threads) {
     out.fp = Mix(out.fp, PassFp(runner.last_arrange()));
   }
   for (std::int32_t s = 0; s < 3; ++s) {
-    out.fp = Mix(out.fp, TableFp(sys.shard_driver(s)));
-    out.fp = Mix(out.fp, PayloadFp(sys.shard_driver(s).disk()));
+    out.fp = Mix(out.fp, TableFp(sys.member_driver(s)));
+    out.fp = Mix(out.fp, PayloadFp(sys.member_disk(s)));
   }
   out.fp = Mix(out.fp, sink.hash);
   out.fp = Mix(out.fp, static_cast<std::uint64_t>(sink.count));
@@ -205,17 +209,15 @@ TEST(AdaptiveEpochTest, FleetMatchesFixedOracleAndFusesWhenQuiet) {
 }
 
 // Randomized twin under media faults, torn writes, io-indexed and timed
-// crash points, and reboots — the sharded_system_test faulty scenario with
-// the epoch mode as the variable under test.
+// crash points, and member deaths — the sharded_system_test faulty
+// scenario with the epoch mode as the variable under test.
 std::uint64_t RunFaultyFleet(std::uint64_t seed, bool adaptive,
-                             std::int32_t threads, int* reboots_out) {
+                             std::int32_t threads, int* deaths_out) {
   const std::int32_t shards = 1 + static_cast<std::int32_t>(seed % 4);
-  const ShardedSystemConfig config = FleetConfig(shards, threads, adaptive);
+  array::ArrayConfig config = FleetConfig(shards, threads, adaptive);
+  config.fault_seed = seed;
   const Micros day_len = 3 * kMinute;
 
-  std::vector<std::unique_ptr<fault::FaultyDisk>> disks;
-  std::vector<std::unique_ptr<driver::InMemoryTableStore>> stores;
-  ShardedSystem::Deps deps;
   for (std::int32_t s = 0; s < shards; ++s) {
     fault::FaultPlanConfig plan_cfg;
     plan_cfg.sector_count = config.drive.geometry.total_sectors();
@@ -233,111 +235,78 @@ std::uint64_t RunFaultyFleet(std::uint64_t seed, bool adaptive,
       timed.at_time = 100 * kSecond;
       plan.crashes.push_back(timed);
     }
-    disks.push_back(
-        std::make_unique<fault::FaultyDisk>(config.drive, plan, seed ^ s));
-    stores.push_back(std::make_unique<driver::InMemoryTableStore>());
-    deps.disks.push_back(disks.back().get());
-    deps.stores.push_back(stores.back().get());
+    config.fault_plans.push_back(std::move(plan));
   }
 
   HashSink sink;
-  auto sys = std::make_unique<ShardedSystem>(config, deps);
-  sys->set_completion_sink(&sink);
-  Status st = sys->Start();
+  array::ArrayDevice sys(config);
+  sys.set_completion_sink(&sink);
+  Status st = sys.Start();
   EXPECT_TRUE(st.ok()) << st.message();
 
-  std::uint64_t fp = 0x5EED;
-  int reboots = 0;
-  auto reboot = [&]() {
-    sys.reset();
-    for (auto& d : disks) d->ClearCrash();
-    sys = std::make_unique<ShardedSystem>(config, deps);
-    sys->set_completion_sink(&sink);
-    sink.last_time = 0;  // per-boot clocks restart
-    Status rs = sys->Start(/*after_crash=*/true);
-    EXPECT_TRUE(rs.ok()) << rs.message();
-    ++reboots;
-  };
-
-  workload::SyntheticBlockWorkload workload(0, sys->device_blocks(),
-                                            FleetDay(day_len).synthetic, seed);
+  workload::SyntheticBlockWorkload workload(
+      0, sys.member_blocks(), FleetDay(sys, day_len).synthetic, seed);
   workload::Trace trace;
-  Micros clock = sys->now();
+  Micros clock = sys.now();
+  std::uint64_t fp = 0x5EED;
   for (int phase = 0; phase < 3; ++phase) {
-    (void)sys->ReadStatsMerged(/*clear=*/true);
-    const Micros start = std::max(clock, sys->now());
+    (void)sys.ReadStatsMerged(/*clear=*/true);
+    const Micros start = std::max(clock, sys.now());
     trace.Clear();
     workload.Generate(start, start + day_len, trace);
-    Status sub = sys->SubmitBatch(trace.records().data(), trace.size());
+    Status sub = sys.SubmitBatch(trace.records().data(), trace.size());
     EXPECT_TRUE(sub.ok()) << sub.message();
-    EXPECT_TRUE(sys->AdvanceTo(start + day_len).ok());
-    EXPECT_TRUE(sys->Drain().ok());
+    EXPECT_TRUE(sys.AdvanceTo(start + day_len).ok());
+    EXPECT_TRUE(sys.Drain().ok());
     clock = start + day_len;
-    fp = Mix(fp, DayFp(DayMetrics::From(sys->ReadStatsMerged(/*clear=*/true),
-                                        sys->seek_model())));
-    if (sys->halted()) {
-      fp = Mix(fp, 0xDEAD);
-      reboot();
-      continue;
-    }
+    fp = Mix(fp, DayFp(DayMetrics::From(sys.ReadStatsMerged(/*clear=*/true),
+                                        sys.seek_model())));
     StatusOr<placement::ArrangeResult> pass =
-        (phase % 2 == 0) ? sys->RearrangeAll() : sys->CleanAll();
-    if (pass.ok()) {
-      fp = Mix(fp, PassFp(*pass));
-      if (pass->halted || sys->halted()) {
-        fp = Mix(fp, 0xDEAD);
-        reboot();
-      }
-    } else {
-      fp = Mix(fp, 0xBAD);
-      if (sys->halted()) reboot();
-    }
+        (phase % 2 == 0) ? sys.RearrangeAll() : sys.CleanAll();
+    fp = Mix(fp, pass.ok() ? PassFp(*pass) : 0xBAD);
   }
 
+  int deaths = 0;
   for (std::int32_t s = 0; s < shards; ++s) {
-    fp = Mix(fp, TableFp(sys->shard_driver(s)));
-    fp = Mix(fp, PayloadFp(*deps.disks[static_cast<std::size_t>(s)]));
+    fp = Mix(fp, TableFp(sys.member_driver(s)));
+    fp = Mix(fp, PayloadFp(sys.member_disk(s)));
+    if (sys.member_state(s) == array::MemberState::kDead) ++deaths;
   }
   fp = Mix(fp, sink.hash);
   fp = Mix(fp, static_cast<std::uint64_t>(sink.count));
-  fp = Mix(fp, static_cast<std::uint64_t>(reboots));
+  fp = Mix(fp, static_cast<std::uint64_t>(deaths));
+  fp = Mix(fp, static_cast<std::uint64_t>(sys.lost_requests()));
   EXPECT_TRUE(sink.ordered);
-  if (reboots_out != nullptr) *reboots_out += reboots;
+  if (deaths_out != nullptr) *deaths_out += deaths;
   return fp;
 }
 
 TEST(AdaptiveEpochTest, FleetMatchesFixedUnderFaultsCrashesAndReboots) {
-  int reboots = 0;
+  int deaths = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::uint64_t fixed =
-        RunFaultyFleet(seed, /*adaptive=*/false, /*threads=*/1, &reboots);
+        RunFaultyFleet(seed, /*adaptive=*/false, /*threads=*/1, &deaths);
     EXPECT_EQ(fixed,
               RunFaultyFleet(seed, /*adaptive=*/true, /*threads=*/1, nullptr));
     EXPECT_EQ(fixed,
               RunFaultyFleet(seed, /*adaptive=*/true, /*threads=*/4, nullptr));
   }
-  // The sweep must exercise the crash/reboot path, not just media faults.
-  EXPECT_GT(reboots, 0);
+  // The sweep must exercise member deaths, not just media faults.
+  EXPECT_GT(deaths, 0);
 }
 
 TEST(AdaptiveEpochTest, FleetWindowNeverOvershootsATimedCrash) {
-  const ShardedSystemConfig config =
+  array::ArrayConfig config =
       FleetConfig(/*shards=*/2, /*threads=*/1, /*adaptive=*/true);
 
   // Member 0 crashes by wall schedule half way through grid 3.
-  fault::FaultPlan crashy;
+  config.fault_plans.resize(2);
   fault::CrashPoint timed;
   timed.at_time = 2 * kGrid + kGrid / 2;
-  crashy.crashes.push_back(timed);
-  fault::FaultyDisk d0(config.drive, crashy, 1);
-  fault::FaultyDisk d1(config.drive, fault::FaultPlan{}, 2);
-  driver::InMemoryTableStore s0, s1;
-  ShardedSystem::Deps deps;
-  deps.disks = {&d0, &d1};
-  deps.stores = {&s0, &s1};
+  config.fault_plans[0].crashes.push_back(timed);
 
-  ShardedSystem sys(config, deps);
+  array::ArrayDevice sys(config);
   ASSERT_TRUE(sys.Start().ok());
   // Grids 1 and 2 end at or before the crash bound and fuse; grid 3 would
   // end past it and is refused, even with a far larger advance on offer.
@@ -348,8 +317,8 @@ TEST(AdaptiveEpochTest, FleetWindowNeverOvershootsATimedCrash) {
 }
 
 TEST(AdaptiveEpochTest, FleetFixedModePlansSingleGrids) {
-  ShardedSystem sys(FleetConfig(/*shards=*/2, /*threads=*/1,
-                                /*adaptive=*/false));
+  array::ArrayDevice sys(FleetConfig(/*shards=*/2, /*threads=*/1,
+                                     /*adaptive=*/false));
   ASSERT_TRUE(sys.Start().ok());
   EXPECT_EQ(sys.PlanStepEnd(20 * kGrid), kGrid);
 }
@@ -373,8 +342,8 @@ array::ArrayConfig ArrayTwinConfig(array::RaidLevel level,
   c.rearrange_blocks = 16;
   c.spare_slots = 4;
   c.resync_granule_blocks = 4;
-  c.driver.block_size_bytes = 8192;
-  c.driver.request_monitor_capacity = 1 << 12;
+  c.system.driver.block_size_bytes = 8192;
+  c.system.driver.request_monitor_capacity = 1 << 12;
   return c;
 }
 
