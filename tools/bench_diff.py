@@ -7,18 +7,22 @@ disappears from the current run. Metrics new in the current run are
 reported but never fail the check, so adding benchmarks does not require
 touching this tool.
 
+A multi-thread metric (kind "replication" or "scaling") that needs more
+threads than this machine has CPUs is not judged at all, neither its
+ops_per_sec nor its speedup: oversubscribed workers time the machine, not
+the code — a 4-CPU runner cannot reproduce an 8-way fan-out, and failing
+on it would just teach people to ignore the check. The row still runs,
+and the bench itself still fails when a thread count changes its
+results. A metric that disappears is reported MISSING either way.
+
 With --speedup-tolerance the `speedup` field of metrics that carry a
 positive one in the baseline is compared as well, under its own
 (typically looser) tolerance: a speedup is a ratio of two noisy
-wall-clock times, so it jitters more than throughput. Multi-thread
-metrics (kind "replication" or "scaling") are skipped when the current
-machine has fewer CPUs than the metric's recorded thread count — a
-1-core runner cannot reproduce an 8-way fan-out, and failing on it would
-just teach people to ignore the check. When the baseline document
-carries the recording machine's hardware-thread count ("hw_threads")
-and it differs from this machine's, every speedup comparison is
-skipped: parallel scaling measured on different hardware is not
-comparable at any thread count.
+wall-clock times, so it jitters more than throughput. When the baseline
+document carries the recording machine's hardware-thread count
+("hw_threads") and it differs from this machine's, every speedup
+comparison is skipped: parallel scaling measured on different hardware
+is not comparable at any thread count.
 
 A baseline that does not exist yet is not a regression: the first run of a
 new benchmark has nothing to compare against, so a missing BASELINE.json
@@ -45,9 +49,9 @@ import os
 import sys
 
 # Metric kinds this tool knows how to judge. Single-thread metrics carry
-# no kind at all; the two multi-thread kinds get the CPU-count skip in
-# the speedup comparison below. Anything else is a newer schema: warn
-# and skip instead of rendering a meaningless verdict.
+# no kind at all; the two multi-thread kinds get the CPU-count skip
+# below. Anything else is a newer schema: warn and skip instead of
+# rendering a meaningless verdict.
 KNOWN_KINDS = (None, "", "replication", "scaling")
 
 
@@ -128,6 +132,7 @@ def main():
         )
     failed = []
     skipped_kinds = 0
+    skipped_threads = 0
     # Per-kind tallies for the summary line. A metric counts once under
     # its kind ("single" when it carries none); it lands in the fail
     # column when either its throughput or its speedup regressed.
@@ -152,6 +157,14 @@ def main():
             failed.append(name)
             tally(kind, False)
             continue
+        threads = int(base[name].get("threads", 1))
+        if kind in ("replication", "scaling") and threads > cpus:
+            print(
+                f"  {name:28s} skipped: needs {threads} threads, "
+                f"machine has {cpus} CPUs"
+            )
+            skipped_threads += 1
+            continue
         n_failed_before = len(failed)
         base_ops = float(base[name]["ops_per_sec"])
         cur_ops = float(cur[name]["ops_per_sec"])
@@ -172,24 +185,15 @@ def main():
             and isinstance(base_speedup, (int, float))
             and base_speedup > 0
         ):
-            if (
-                base[name].get("kind") in ("replication", "scaling")
-                and int(base[name].get("threads", 1)) > cpus
-            ):
-                print(
-                    f"  {name:28s} speedup skipped: needs "
-                    f"{base[name]['threads']} threads, machine has {cpus} CPUs"
-                )
-            else:
-                cur_speedup = float(cur[name].get("speedup", 0))
-                s_verdict = "ok"
-                if cur_speedup < base_speedup * (1.0 - args.speedup_tolerance):
-                    s_verdict = "REGRESSED"
-                    failed.append(name + ".speedup")
-                print(
-                    f"  {name:28s} speedup {base_speedup:6.2f}x -> "
-                    f"{cur_speedup:6.2f}x  {s_verdict}"
-                )
+            cur_speedup = float(cur[name].get("speedup", 0))
+            s_verdict = "ok"
+            if cur_speedup < base_speedup * (1.0 - args.speedup_tolerance):
+                s_verdict = "REGRESSED"
+                failed.append(name + ".speedup")
+            print(
+                f"  {name:28s} speedup {base_speedup:6.2f}x -> "
+                f"{cur_speedup:6.2f}x  {s_verdict}"
+            )
         tally(kind, len(failed) == n_failed_before)
     for name in sorted(set(cur) - set(base)):
         print(
@@ -207,10 +211,15 @@ def main():
             + (f" [{kind_counts}]" if kind_counts else "")
         )
         return 1
+    skips = []
     if skipped_kinds:
+        skips.append(f"{skipped_kinds} skipped on unrecognized kind")
+    if skipped_threads:
+        skips.append(f"{skipped_threads} skipped needing more threads than CPUs")
+    if skips:
         print(
             f"bench_diff: all judged metrics within tolerance "
-            f"({skipped_kinds} skipped on unrecognized kind)"
+            f"({'; '.join(skips)})"
             + (f" [{kind_counts}]" if kind_counts else "")
         )
     else:
