@@ -2,7 +2,8 @@
 # Repo verification: tier-1 build + full test suite, then an ASan+UBSan
 # build of the fault-injection / crash-recovery paths, then a
 # ThreadSanitizer build of the concurrency machinery (thread pool,
-# parallel runner, sharded fleet engine).
+# parallel runner, and the barrier engine under the ArrayDevice that runs
+# both the --shards fleet and the --array arrays).
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan] [--no-bench]
 set -euo pipefail
@@ -64,8 +65,9 @@ cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j)
 
 echo "== determinism: sharded fleet output is --jobs invariant =="
-# The sharded engine's core contract: at a fixed shard count, the worker
-# thread count must never change a byte of output. Each command pair runs
+# The barrier engine's core contract: at a fixed shard count, the worker
+# thread count must never change a byte of output. The --shards fleet is
+# an ArrayDevice at RAID0, chunk 1, ranking from member analyzers. Each command pair runs
 # the same fleet serial and parallel and the transcripts must compare
 # equal. (Identity across different shard counts is not expected — a
 # 4-member fleet measures different physics than one drive.)
