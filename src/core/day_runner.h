@@ -11,9 +11,9 @@ namespace abr::core {
 /// The paper's daily procedure on one simulated system: measured days of
 /// traffic, each prepared by an end-of-day pass over the counts of the day
 /// before. core::Experiment runs it on the serial file-server stack and
-/// ArrayDayRunner on a barrier device (sharded fleet or array); the on/off
-/// loop (RunOnOffLoop) and abrsim's grid commands drive either through
-/// this interface.
+/// ArrayDayRunner on an ArrayDevice (an array or the sharded fleet); the
+/// on/off loop (RunOnOffLoop) and abrsim's grid commands drive either
+/// through this interface.
 class DayRunner {
  public:
   virtual ~DayRunner() = default;
