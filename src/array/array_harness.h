@@ -4,48 +4,32 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "array/array_device.h"
-#include "util/rng.h"
+#include "fault/ack_ledger.h"
 #include "util/types.h"
-#include "util/zipf.h"
 
 namespace abr::array {
 
 /// Configuration for one seeded RAID1 availability run. A (seed, config)
 /// pair reproduces the run exactly; two configs that differ only in the
 /// kill schedule see the *same* request schedule, which is what makes the
-/// killed run comparable to its uninterrupted twin.
+/// killed run comparable to its uninterrupted twin. The member drive and
+/// the traffic are the ledger's (fault::AckLedger).
 struct ArrayHarnessConfig {
   std::uint64_t seed = 1;
 
   std::int32_t members = 2;
 
-  // Member drive shape (small, so a run is fast).
-  std::int32_t cylinders = 60;
-  std::int32_t tracks_per_cylinder = 2;
-  std::int32_t sectors_per_track = 32;
-  std::int32_t reserved_cylinders = 8;
-  std::int32_t rearrange_blocks = 16;
-  std::int32_t spare_slots = 4;
-  std::int64_t resync_granule_blocks = 4;
   Micros epoch = 50 * kMillisecond;
   /// Lookahead-adaptive barriers (see ArrayConfig::adaptive_epoch).
   bool adaptive_epoch = false;
 
-  // Workload: seeded Zipf references, exponential interarrivals. At most
-  // one write per block per phase (each phase ends with a drain), so no
-  // two writes to one block are ever concurrently in flight and the
+  // At most one write per block per phase (each phase ends with a drain),
+  // so no two writes to one block are ever concurrently in flight and the
   // submission schedule is a pure function of the seed.
   std::int32_t phases = 10;
   std::int32_t requests_per_phase = 300;
-  double write_fraction = 0.5;
-  double zipf_theta = 0.9;
-  Micros mean_interarrival = 1500;
-  std::int32_t arrange_every = 2;  // rearrangement pass cadence, in phases
 
   /// Member to kill (-1: none — the uninterrupted twin) at the victim's
   /// kill_at_io'th serviced operation. The crash can land anywhere: under
@@ -53,9 +37,6 @@ struct ArrayHarnessConfig {
   /// a block-table save.
   std::int32_t kill_member = -1;
   std::int64_t kill_at_io = -1;
-
-  /// Full phases the array runs degraded before the victim is reattached.
-  std::int32_t reattach_after_phases = 2;
 
   ArrayHarnessConfig Quick() const {
     ArrayHarnessConfig q = *this;
@@ -68,7 +49,6 @@ struct ArrayHarnessConfig {
 /// What one run observed and verified.
 struct ArrayHarnessResult {
   std::int32_t crashes = 0;
-  std::int64_t writes_submitted = 0;
   std::int64_t writes_acked = 0;
   std::int64_t reads_checked = 0;
   std::int64_t mismatches = 0;
@@ -105,6 +85,7 @@ struct ArrayHarnessResult {
 /// payload at the completed request's physical sector when the device's
 /// merged completion stream delivers it: at the next barrier, in simulated
 /// time order, before any barrier work can copy or remap that sector.
+/// Failed completions are ignored.
 ///
 /// The arranger runs in full-rebuild (oracle) mode: an executed pass's
 /// end table is then a pure function of its ranked list, and ranked lists
@@ -122,55 +103,30 @@ class ArrayCrashHarness : public sim::ShardCompletionSink {
   /// Runs the whole schedule and returns the verified result. Call once.
   ArrayHarnessResult Run();
 
-  /// Deterministic payload stamp for sector `offset` of `block` at
-  /// `version` (same construction as fault::CrashHarness).
-  static std::uint64_t PayloadValue(BlockNo block, std::uint64_t version,
-                                    std::int64_t offset);
-
   /// The device's merged completion stream, delivered at each barrier.
   void OnShardIoComplete(std::int32_t member,
                          const sim::CompletedIo& done) override;
 
-  /// The device under test (null only if construction failed before the
-  /// array was built); abrsim's crashday table reads per-member fault
-  /// counters through this.
+  /// The device under test, or null when it failed to start; abrsim's
+  /// crashday table reads per-member fault counters through this.
   const ArrayDevice* device() const { return device_.get(); }
 
  private:
-  struct PendingWrite {
-    std::uint64_t version = 0;
-    std::uint64_t needed = 0;  // members whose completion is still owed
-  };
-
-  void GeneratePhase(std::vector<workload::TraceRecord>& out,
-                     std::vector<bool>& is_write);
-  void PruneAcks();
-  void Ack(BlockNo block, const PendingWrite& w);
+  void RunSchedule();
   void MaybeKillProgress();
   void Arrange();
   void FinishResync();
   void Finalize();
-  void RecordError(const std::string& what);
 
   ArrayHarnessConfig config_;
   std::unique_ptr<ArrayDevice> device_;
   ArrayHarnessResult result_;
-
-  Rng rng_;
-  std::unique_ptr<ZipfSampler> zipf_;
+  fault::AckLedger ledger_;
   Micros clock_ = 0;
-
-  std::vector<BlockNo> eligible_;
-  std::vector<SectorNo> original_sector_;
-  std::unordered_map<BlockNo, std::size_t> eligible_index_;
-  std::vector<std::uint64_t> expected_;      // last acked version
-  std::vector<std::uint64_t> next_version_;  // next version to assign
-  std::unordered_map<BlockNo, PendingWrite> pending_;
 
   bool death_seen_ = false;
   std::int32_t phases_since_death_ = 0;
   bool reattached_ = false;
-  bool ran_ = false;
 };
 
 }  // namespace abr::array

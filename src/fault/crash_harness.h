@@ -4,43 +4,26 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "analyzer/exact_counter.h"
+#include "core/adaptive_system.h"
 #include "disk/disk_label.h"
-#include "driver/adaptive_driver.h"
 #include "driver/perf_monitor.h"
+#include "fault/ack_ledger.h"
 #include "fault/crash_table_store.h"
-#include "fault/fault_plan.h"
 #include "fault/faulty_disk.h"
-#include "placement/continuous_arranger.h"
-#include "placement/policy.h"
-#include "sim/disk_system.h"
-#include "util/rng.h"
 #include "util/types.h"
-#include "util/zipf.h"
 
 namespace abr::fault {
 
 /// Crash-harness configuration. Everything is seeded; a (seed, config)
 /// pair reproduces the run exactly, including every injected fault and
-/// crash point.
+/// crash point. The drive and the traffic are the ledger's (AckLedger).
 struct CrashHarnessConfig {
   std::uint64_t seed = 1;
 
-  // Drive shape (small, so a run is fast).
-  std::int32_t cylinders = 60;
-  std::int32_t tracks_per_cylinder = 2;
-  std::int32_t sectors_per_track = 32;
-  std::int32_t reserved_cylinders = 8;
-  std::int32_t block_table_capacity = 16;
-
-  // Workload: seeded Zipf block references with exponential interarrivals.
   std::int32_t phases = 10;              // workload bursts per run
   std::int32_t requests_per_phase = 400;
-  double write_fraction = 0.5;
-  double zipf_theta = 0.9;
-  Micros mean_interarrival = 1500;
   std::int32_t arrange_every = 2;        // rearrangement pass cadence
 
   // Fault schedule.
@@ -85,12 +68,9 @@ struct CrashHarnessResult {
   std::int32_t crash_in_arrangement = 0;  // reserved-data-area move I/O
   std::int32_t crash_in_steady_state = 0;
 
-  std::int64_t requests_submitted = 0;
   std::int64_t writes_acked = 0;
-  std::int64_t reads_checked = 0;       // fingerprint-verified reads
   std::int64_t blocks_verified = 0;     // full-block verify-pass checks
   std::int64_t blocks_indeterminate = 0;  // unacked at a crash, re-stamped later
-  std::int64_t verify_reads_failed = 0;   // media errors during verification
   std::int64_t mismatches = 0;          // lost or misdirected acked writes
   std::int32_t arrange_passes = 0;
 
@@ -109,17 +89,20 @@ struct CrashHarnessResult {
 
 /// Runs seeded on/off-style days against a FaultyDisk, crashing at the
 /// plan's scheduled points — including inside the arranger's copy/write-back
-/// pipeline and inside block-table saves — then re-attaches a fresh
-/// AdaptiveDriver with Attach(after_crash=true), resumes the workload, and
-/// asserts via per-sector payload fingerprints that no acknowledged write
-/// is ever lost or misdirected.
+/// pipeline and inside block-table saves — then boots a fresh
+/// core::AdaptiveSystem (the stack every array member runs) with
+/// Start(after_crash=true), resumes the workload, and asserts via
+/// per-sector payload fingerprints that no acknowledged write is ever lost
+/// or misdirected.
 ///
 /// Acknowledgement semantics: a write counts as acknowledged exactly when
 /// its completion reached the driver's client sink before the crash. The
 /// harness stamps the block's payload fingerprint at ack time at the
-/// completed request's physical sector; blocks with an unacknowledged
-/// write in flight at a crash are indeterminate (either outcome is legal)
-/// and are excluded from verification until the next acknowledged write.
+/// completed request's physical sector; a write that fails leaves the
+/// previous version expected. At most one write per block is in flight;
+/// blocks with an unacknowledged write in flight at a crash are
+/// indeterminate (either outcome is legal) and are excluded from
+/// verification until the next acknowledged write.
 class CrashHarness : public sim::CompletionSink {
  public:
   explicit CrashHarness(CrashHarnessConfig config);
@@ -135,20 +118,13 @@ class CrashHarness : public sim::CompletionSink {
   void OnIoComplete(const sim::CompletedIo& done) override;
 
  private:
-  static constexpr std::uint64_t kIndeterminate = ~0ULL;
-
-  /// Fingerprint for sector `offset` of `block` at write version `version`.
-  static std::uint64_t PayloadValue(BlockNo block, std::uint64_t version,
-                                    std::int64_t offset);
+  driver::AdaptiveDriver& driver() { return system_->driver(); }
 
   void BuildMachine(bool after_crash);
   void RunWorkloadPhase();
   void MaybeArrange(std::int32_t phase);
   void HandleCrash();
   void VerifyAll();
-  void CheckBlockAt(SectorNo sector, BlockNo block, std::uint64_t version);
-  void RecordError(std::string what);
-  void CollectDriverStats();
 
   CrashHarnessConfig config_;
   CrashHarnessResult result_;
@@ -156,22 +132,12 @@ class CrashHarness : public sim::CompletionSink {
   disk::DiskLabel label_;
   std::unique_ptr<FaultyDisk> disk_;
   CrashTableStore store_;
-  std::unique_ptr<driver::AdaptiveDriver> driver_;
-  std::unique_ptr<placement::PlacementPolicy> policy_;
-  /// Continuous mode only; rebuilt fresh on every boot (a crash loses the
-  /// open plan, as it would the user-level arranger process).
-  std::unique_ptr<placement::ContinuousArranger> continuous_;
+  AckLedger ledger_;
+  /// Rebuilt on every boot: a crash loses the continuous arranger's open
+  /// plan, as it would the user-level arranger process.
+  std::unique_ptr<core::AdaptiveSystem> system_;
+  analyzer::ExactCounter refs_;  // reference counts for ranking, all boots
 
-  Rng workload_rng_;
-  std::unique_ptr<ZipfSampler> zipf_;
-  std::int32_t block_sectors_ = 0;
-  std::vector<BlockNo> eligible_;            // single-extent blocks
-  std::vector<SectorNo> original_sector_;    // by eligible index
-  std::vector<std::uint64_t> expected_;      // version or kIndeterminate
-  std::vector<std::uint64_t> next_version_;
-  std::vector<std::int64_t> refs_;           // reference counts for ranking
-  std::unordered_map<BlockNo, std::uint64_t> pending_;  // in-flight writes
-  std::unordered_map<BlockNo, std::size_t> eligible_index_;
   Micros clock_ = 0;       // current boot's clock (restarts at each reboot)
   Micros time_base_ = 0;   // global simulated time when this boot started
   bool verifying_ = false;
