@@ -296,20 +296,25 @@ struct Engine {
   bool serial() const { return shards == 0 && !array; }
 };
 
+/// Parses --array=raid0:N or raid1:N. Returns false after printing a
+/// one-line error.
 bool ParseArraySpec(const std::string& s, array::RaidLevel* level,
                     std::int32_t* members) {
   const std::size_t colon = s.find(':');
-  if (colon == std::string::npos) return false;
   const std::string lv = s.substr(0, colon);
-  if (lv == "raid0") {
-    *level = array::RaidLevel::kRaid0;
-  } else if (lv == "raid1") {
-    *level = array::RaidLevel::kRaid1;
-  } else {
+  std::int64_t n = 0;
+  if (colon == std::string::npos || (lv != "raid0" && lv != "raid1") ||
+      !ParseInt(s.substr(colon + 1), &n) || n < 1 || n > 64) {
+    std::fprintf(stderr, "bad --array=%s (want raid0:N or raid1:N)\n",
+                 s.c_str());
     return false;
   }
-  std::int64_t n = 0;
-  if (!ParseInt(s.substr(colon + 1), &n) || n < 1 || n > 64) return false;
+  *level = lv == "raid0" ? array::RaidLevel::kRaid0 : array::RaidLevel::kRaid1;
+  if (*level == array::RaidLevel::kRaid1 && n < 2) {
+    std::fprintf(stderr, "--array=%s out of range (raid1 needs at least 2 "
+                         "members)\n", s.c_str());
+    return false;
+  }
   *members = static_cast<std::int32_t>(n);
   return true;
 }
@@ -347,11 +352,7 @@ bool RejectNonArrayFleetFlags(Flags& flags) {
 bool ParseEngine(Flags& flags, bool with_array, Engine* engine) {
   const std::string spec = with_array ? flags.Get("array", "") : "";
   if (!spec.empty()) {
-    if (!ParseArraySpec(spec, &engine->level, &engine->members)) {
-      std::fprintf(stderr, "bad --array=%s (want raid0:N or raid1:N)\n",
-                   spec.c_str());
-      return false;
-    }
+    if (!ParseArraySpec(spec, &engine->level, &engine->members)) return false;
     if (!RejectNonArrayFleetFlags(flags)) return false;
     engine->array = true;
   } else {
@@ -916,11 +917,7 @@ int CmdSpecs() {
 int CmdCrashDayArray(Flags& flags, const std::string& spec) {
   array::RaidLevel level = array::RaidLevel::kRaid1;
   std::int32_t members = 0;
-  if (!ParseArraySpec(spec, &level, &members)) {
-    std::fprintf(stderr, "bad --array=%s (want raid0:N or raid1:N)\n",
-                 spec.c_str());
-    return 2;
-  }
+  if (!ParseArraySpec(spec, &level, &members)) return 2;
   if (level != array::RaidLevel::kRaid1) {
     std::fprintf(stderr, "crashday --array requires raid1: the harness "
                          "proves mirror availability\n");
