@@ -139,12 +139,13 @@ else
   # mid-chain aborts — exactly where overflow and lifetime bugs would hide.
   cmake -B build-asan -S . -DABR_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target \
-    fault_plan_test faulty_disk_test crash_harness_test \
+    fault_plan_test faulty_disk_test ack_ledger_test crash_harness_test \
     adaptive_driver_test block_table_test array_device_test \
     array_harness_test seek_kernel_diff_test flat_queue_batch_test \
     advance_kernel_diff_test abrsim bench_arrange >/dev/null
   ./build-asan/tests/fault_plan_test
   ./build-asan/tests/faulty_disk_test
+  ./build-asan/tests/ack_ledger_test
   ./build-asan/tests/crash_harness_test
   ./build-asan/tests/adaptive_driver_test
   ./build-asan/tests/block_table_test
