@@ -495,8 +495,7 @@ sched::IoRequest AdaptiveDriver::TableWriteOp() const {
 
 void AdaptiveDriver::SaveTable() {
   assert(store_ != nullptr);
-  block_table_->SerializeInto(table_image_);
-  store_->Save(table_image_);
+  store_->Save(*block_table_);
 }
 
 void AdaptiveDriver::TableInsert(SectorNo original, SectorNo relocated) {

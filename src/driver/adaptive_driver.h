@@ -479,8 +479,8 @@ class AdaptiveDriver : private sim::CompletionSink {
   /// Builds an internal request for the on-disk table area.
   sched::IoRequest TableWriteOp() const;
 
-  /// Persists the table image to the store (bytes only; the I/O charge is
-  /// the accompanying TableWriteOp).
+  /// Persists the table to the store (contents only; the I/O charge is the
+  /// accompanying TableWriteOp).
   void SaveTable();
 
   /// DiskSystem completion hook (sim::CompletionSink).
@@ -522,10 +522,6 @@ class AdaptiveDriver : private sim::CompletionSink {
   bool cache_dirty_ = false;
   SectorNo cache_original_ = 0;
   SectorNo cache_relocated_ = 0;
-  // Reused serialization buffer for SaveTable() (one save per table
-  // mutation during copy-in / clean-out).
-  std::vector<std::uint8_t> table_image_;
-
   // SubmitBlockBatch window state: while batching_ is set, RouteBlock
   // stages its final physical requests here instead of submitting them
   // one by one; the batch entry point flushes the run with one

@@ -87,10 +87,14 @@ class BlockTable {
   /// written to the start of the reserved area.
   std::vector<std::uint8_t> Serialize() const;
 
-  /// Serializes into a caller-owned buffer, reusing its capacity. The
-  /// driver persists the table after every copy/clean table mutation, so
-  /// this path avoids one allocation plus byte-at-a-time appends per save.
+  /// Serializes into a caller-owned buffer, reusing its capacity.
   void SerializeInto(std::vector<std::uint8_t>& out) const;
+
+  /// Serializes an entry list (a store's snapshot of `entries()`) into
+  /// `out`, reusing its capacity: the one byte format behind Serialize()
+  /// and SerializeInto().
+  static void SerializeEntries(const std::vector<BlockTableEntry>& entries,
+                               std::vector<std::uint8_t>& out);
 
   /// Reconstructs a table from a serialized image. Fails with Corruption on
   /// bad magic or checksum. The result has the given capacity (which must

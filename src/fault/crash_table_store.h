@@ -13,15 +13,22 @@ namespace abr::fault {
 
 /// Crash-accurate two-area (ping-pong) block-table store.
 ///
-/// The driver's SaveTable() persists bytes immediately, but the matching
-/// table-area disk write completes later; between the two, the platter
-/// still holds the previous image. This store models that window: Save()
-/// only *stages* the image, and it becomes durable when FaultyDisk reports
-/// the table-area write complete (TableWriteObserver). A crash mid-write
-/// leaves a torn prefix as the newest on-disk image; the previous durable
-/// image survives intact in the other area, which is what
-/// AdaptiveDriver::Attach(after_crash=true) falls back to via
-/// LoadFallback().
+/// The driver's SaveTable() persists the table immediately, but the
+/// matching table-area disk write completes later; between the two, the
+/// platter still holds the previous image. This store models that window:
+/// Save() only *stages* a snapshot of the table's entries, and it becomes
+/// durable when FaultyDisk reports the table-area write complete
+/// (TableWriteObserver). A crash mid-write leaves a torn prefix as the
+/// newest on-disk image; the previous durable image survives intact in the
+/// other area, which is what AdaptiveDriver::Attach(after_crash=true) falls
+/// back to via LoadFallback().
+///
+/// Staged, committed and previous images are held as entry snapshots taken
+/// at Save() and serialized only when exposed: by Load(), by LoadFallback(),
+/// and when a tear cuts the staged image to its prefix. Every exposed image
+/// holds the bytes BlockTable::Serialize() gave at that Save(), so a dirty
+/// bit set after Save() never reaches the image it staged. A commit swaps
+/// the snapshot buffers, so steady-state saves allocate nothing.
 ///
 /// Safety: the durable image is only ever replaced by a *completed* table
 /// write, and the driver releases requests held for a move only after the
@@ -32,36 +39,38 @@ class CrashTableStore : public driver::BlockTableStore,
  public:
   // --- BlockTableStore --------------------------------------------------
 
-  void Save(std::vector<std::uint8_t> image) override {
-    pending_ = std::move(image);
+  void Save(const driver::BlockTable& table) override {
+    pending_.entries = table.entries();
+    pending_.valid = true;
     ++saves_;
   }
 
   std::optional<std::vector<std::uint8_t>> Load() const override {
     // The newest image the platter holds: a torn write attempt if one was
     // interrupted, else the last durable image.
-    return torn_.has_value() ? torn_ : committed_;
+    return torn_.has_value() ? torn_ : Image(committed_);
   }
 
   std::optional<std::vector<std::uint8_t>> LoadFallback() const override {
-    return torn_.has_value() ? committed_ : previous_;
+    return Image(torn_.has_value() ? committed_ : previous_);
   }
 
   // --- TableWriteObserver ----------------------------------------------
 
   void OnTableWriteDurable() override {
-    if (!pending_.has_value()) return;
-    previous_ = std::move(committed_);
-    committed_ = std::move(*pending_);
-    pending_.reset();
+    if (!pending_.valid) return;
+    std::swap(previous_, committed_);
+    std::swap(committed_, pending_);
+    pending_.valid = false;
     torn_.reset();
     ++commits_;
   }
 
   void OnTableWriteTorn(double keep_fraction) override {
-    if (!pending_.has_value()) return;
-    std::vector<std::uint8_t> image = std::move(*pending_);
-    pending_.reset();
+    if (!pending_.valid) return;
+    pending_.valid = false;
+    std::vector<std::uint8_t> image;
+    driver::BlockTable::SerializeEntries(pending_.entries, image);
     if (keep_fraction < 0) keep_fraction = 0;
     if (keep_fraction > 1) keep_fraction = 1;
     image.resize(static_cast<std::size_t>(
@@ -81,7 +90,7 @@ class CrashTableStore : public driver::BlockTableStore,
   void MirrorDurableFrom(const CrashTableStore& peer) {
     committed_ = peer.committed_;
     previous_ = peer.previous_;
-    pending_.reset();
+    pending_.valid = false;
     torn_.reset();
   }
 
@@ -93,10 +102,24 @@ class CrashTableStore : public driver::BlockTableStore,
   bool torn() const { return torn_.has_value(); }
 
  private:
-  std::optional<std::vector<std::uint8_t>> pending_;    // staged, in flight
-  std::optional<std::vector<std::uint8_t>> committed_;  // last durable
-  std::optional<std::vector<std::uint8_t>> previous_;   // the other area
-  std::optional<std::vector<std::uint8_t>> torn_;       // interrupted write
+  // The entries of one saved table; `entries` keeps its capacity while
+  // the snapshot is invalid, so the next Save() reuses it.
+  struct Snapshot {
+    bool valid = false;
+    std::vector<driver::BlockTableEntry> entries;
+  };
+
+  static std::optional<std::vector<std::uint8_t>> Image(const Snapshot& s) {
+    if (!s.valid) return std::nullopt;
+    std::vector<std::uint8_t> image;
+    driver::BlockTable::SerializeEntries(s.entries, image);
+    return image;
+  }
+
+  Snapshot pending_;    // staged, in flight
+  Snapshot committed_;  // last durable
+  Snapshot previous_;   // the other area
+  std::optional<std::vector<std::uint8_t>> torn_;  // interrupted write
 
   std::int64_t saves_ = 0;
   std::int64_t commits_ = 0;

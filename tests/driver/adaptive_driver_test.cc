@@ -672,7 +672,7 @@ TEST_F(FaultyDriverTest, TornTableSaveFallsBackToDurableImage) {
 
   // A later save is torn mid-write by a crash: only a header fragment of
   // the new image reaches the platter.
-  store_.Save(std::vector<std::uint8_t>(64, 0xEE));
+  store_.Save(driver_->block_table());
   store_.OnTableWriteTorn(0.1);
   ASSERT_TRUE(store_.torn());
 

@@ -265,7 +265,7 @@ TEST(BlockTableTest, CorruptByteReportsReach) {
   // No image saved yet: nothing to corrupt.
   EXPECT_FALSE(store.CorruptByte(0));
   BlockTable t(4);
-  store.Save(t.Serialize());
+  store.Save(t);
   EXPECT_TRUE(store.CorruptByte(0));
   // Offsets past the image are out of reach.
   EXPECT_FALSE(store.CorruptByte(t.Serialize().size()));
