@@ -177,17 +177,23 @@ void BlockArranger::RearrangeIncremental(
   // target slot is still held (by an entry or an in-flight chain) comes
   // back AlreadyExists/Busy/ResourceExhausted and is retried once
   // something completes. Ops are kept in order per block: a later op for
-  // the same original never jumps an earlier one still waiting.
+  // the same original never jumps an earlier one still waiting. The scan
+  // starts at the first op not yet done, so a pass walks its finished
+  // prefix once rather than once per completion.
   const std::size_t window =
       static_cast<std::size_t>(std::max<std::int32_t>(1, config_.max_inflight));
   std::unordered_set<SectorNo> deferred;
+  std::size_t first_pending = 0;  // ops[0..first_pending) are done
   while (!driver.halted()) {
+    while (first_pending < ops.size() && ops[first_pending].done) {
+      ++first_pending;
+    }
+    if (first_pending == ops.size()) break;
     bool issued = false;
-    bool all_done = true;
     deferred.clear();
-    for (Op& op : ops) {
+    for (std::size_t i = first_pending; i < ops.size(); ++i) {
+      Op& op = ops[i];
       if (op.done) continue;
-      all_done = false;
       if (driver.active_chain_count() >= window) break;
       if (deferred.contains(op.original)) continue;
       Status s = op.kind == Op::kEvict
@@ -211,7 +217,6 @@ void BlockArranger::RearrangeIncremental(
       }
       if (driver.halted()) break;
     }
-    if (all_done) break;
     if (!issued && driver.active_chain_count() == 0) {
       // Nothing in flight and nothing issuable: the remaining ops are
       // wedged (slots pinned by aborted chains or quarantined forever).
