@@ -140,7 +140,7 @@ else
   cmake -B build-asan -S . -DABR_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target \
     fault_plan_test faulty_disk_test ack_ledger_test crash_harness_test \
-    adaptive_driver_test block_table_test array_device_test \
+    adaptive_driver_test block_table_test table_store_test array_device_test \
     array_harness_test seek_kernel_diff_test flat_queue_batch_test \
     advance_kernel_diff_test abrsim bench_arrange >/dev/null
   ./build-asan/tests/fault_plan_test
@@ -149,6 +149,7 @@ else
   ./build-asan/tests/crash_harness_test
   ./build-asan/tests/adaptive_driver_test
   ./build-asan/tests/block_table_test
+  ./build-asan/tests/table_store_test
   ./build-asan/tests/array_device_test
   ./build-asan/tests/array_harness_test
   # The hot-loop kernel rewrites (seek LUT, rotation anchor, batched
