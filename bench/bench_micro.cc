@@ -380,7 +380,8 @@ void EmitBeforeAfterJson() {
 
   // Table persistence: the byte-at-a-time append + byte-wise-FNV
   // serializer vs SerializeInto (single pass into a reused buffer, word
-  // checksum). The driver saves the table on every copy/clean mutation.
+  // checksum). A table store serializes each time it exposes an image:
+  // at attach, on a torn write, and for a corrupted test image.
   {
     const auto legacy_serialize = [&table]() {
       std::vector<std::uint8_t> out;
