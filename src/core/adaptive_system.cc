@@ -38,8 +38,8 @@ AdaptiveSystem::AdaptiveSystem(disk::Disk* disk, disk::DiskLabel label,
   arranger_ = std::make_unique<placement::BlockArranger>(policy_.get(),
                                                          config.arranger);
   if (config.continuous) {
-    continuous_ = std::make_unique<placement::ContinuousArranger>(
-        policy_.get(), config.continuous_arranger);
+    continuous_ =
+        std::make_unique<placement::ContinuousArranger>(policy_.get());
   }
 }
 

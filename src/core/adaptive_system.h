@@ -38,7 +38,7 @@ struct AdaptiveSystemConfig {
   placement::PolicyKind policy = placement::PolicyKind::kOrganPipe;
 
   /// Arranger tuning: incremental delta-plan passes (the default) vs the
-  /// full clean-everything-then-recopy rebuild, and the pipelining window.
+  /// full clean-everything-then-recopy rebuild.
   placement::ArrangerConfig arranger;
 
   /// When set, the system runs the continuous arranger instead of the
@@ -47,9 +47,6 @@ struct AdaptiveSystemConfig {
   /// CloseContinuousDay replace Rearrange in the day protocol). The batch
   /// pass remains available as the oracle.
   bool continuous = false;
-
-  /// Continuous-arranger tuning (idle window size, move economics).
-  placement::ContinuousArrangerConfig continuous_arranger;
 
   /// Interleaving factor of the file systems (for the interleaved policy).
   std::int32_t interleave_factor = 1;

@@ -1,10 +1,9 @@
 #include "placement/arranger.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "placement/plan_executor.h"
 
 namespace abr::placement {
 
@@ -65,31 +64,44 @@ StatusOr<ArrangeResult> BlockArranger::Rearrange(
   driver.Drain();
   if (driver.halted()) return finish();
 
-  // Filter the ranked list down to eligible blocks, preserving rank order.
   const ReservedRegion region = ReservedRegion::FromDriver(driver);
-  std::vector<analyzer::HotBlock> eligible;
-  eligible.reserve(ranked.size());
+  StatusOr<EligibleBlocks> eligible = Eligible(driver, ranked, region);
+  if (!eligible.ok()) return eligible.status();
+  result.skipped = eligible->ineligible;
+
+  if (config_.incremental) {
+    RearrangeIncremental(driver, eligible->blocks, region, result);
+  } else {
+    ABR_RETURN_IF_ERROR(
+        RearrangeFull(driver, eligible->blocks, region, result));
+  }
+  return finish();
+}
+
+StatusOr<EligibleBlocks> BlockArranger::Eligible(
+    const driver::AdaptiveDriver& driver,
+    const std::vector<analyzer::HotBlock>& ranked,
+    const ReservedRegion& region) {
+  EligibleBlocks eligible;
+  eligible.blocks.reserve(ranked.size());
+  eligible.originals.reserve(ranked.size());
   for (const analyzer::HotBlock& hb : ranked) {
-    if (eligible.size() >= static_cast<std::size_t>(region.slot_count())) {
+    if (eligible.blocks.size() >=
+        static_cast<std::size_t>(region.slot_count())) {
       break;
     }
     StatusOr<SectorNo> original = OriginalSector(driver, hb.id);
     if (original.ok()) {
-      eligible.push_back(hb);
+      eligible.blocks.push_back(hb);
+      eligible.originals.push_back(*original);
     } else if (original.status().code() == StatusCode::kNotFound ||
                original.status().code() == StatusCode::kOutOfRange) {
-      ++result.skipped;
+      ++eligible.ineligible;
     } else {
       return original.status();
     }
   }
-
-  if (config_.incremental) {
-    RearrangeIncremental(driver, eligible, region, result);
-  } else {
-    ABR_RETURN_IF_ERROR(RearrangeFull(driver, eligible, region, result));
-  }
-  return finish();
+  return eligible;
 }
 
 Status BlockArranger::RearrangeFull(
@@ -144,88 +156,17 @@ void BlockArranger::RearrangeIncremental(
     assert(original.ok());
     desired.push_back(SlotTarget{*original, a.slot});
   }
-  const DeltaPlan delta = BuildDeltaPlan(driver.block_table(), desired,
-                                         region);
-  result.kept = delta.kept;
+  PlanExecutor executor(BuildDeltaPlan(driver.block_table(), desired, region),
+                        region);
 
-  // Flatten the plan into one issue queue: evicts free slots, shuffles
-  // repack survivors, admits fill what remains.
-  struct Op {
-    enum Kind { kEvict, kShuffle, kAdmit } kind;
-    SectorNo original;
-    SectorNo target;  // physical slot start (unused for evicts)
-    bool done = false;
-  };
-  std::vector<Op> ops;
-  ops.reserve(delta.evicts.size() + delta.shuffles.size() +
-              delta.admits.size());
-  for (SectorNo original : delta.evicts) {
-    ops.push_back(Op{Op::kEvict, original, 0, false});
-  }
-  for (const DeltaMove& m : delta.shuffles) {
-    ops.push_back(
-        Op{Op::kShuffle, m.original, region.SlotSector(m.to_slot), false});
-  }
-  for (const DeltaMove& m : delta.admits) {
-    ops.push_back(
-        Op{Op::kAdmit, m.original, region.SlotSector(m.to_slot), false});
-  }
-
-  // Pipelined executor: keep up to max_inflight chains going, advancing
-  // the clock one completion at a time to top the window back up. The
-  // driver's own validation is the dependency mechanism — an op whose
-  // target slot is still held (by an entry or an in-flight chain) comes
-  // back AlreadyExists/Busy/ResourceExhausted and is retried once
-  // something completes. Ops are kept in order per block: a later op for
-  // the same original never jumps an earlier one still waiting. The scan
-  // starts at the first op not yet done, so a pass walks its finished
-  // prefix once rather than once per completion.
-  const std::size_t window =
-      static_cast<std::size_t>(std::max<std::int32_t>(1, config_.max_inflight));
-  std::unordered_set<SectorNo> deferred;
-  std::size_t first_pending = 0;  // ops[0..first_pending) are done
-  while (!driver.halted()) {
-    while (first_pending < ops.size() && ops[first_pending].done) {
-      ++first_pending;
-    }
-    if (first_pending == ops.size()) break;
-    bool issued = false;
-    deferred.clear();
-    for (std::size_t i = first_pending; i < ops.size(); ++i) {
-      Op& op = ops[i];
-      if (op.done) continue;
-      if (driver.active_chain_count() >= window) break;
-      if (deferred.contains(op.original)) continue;
-      Status s = op.kind == Op::kEvict
-                     ? driver.IoctlEvictBlock(op.original)
-                     : op.kind == Op::kShuffle
-                           ? driver.IoctlMoveBlock(op.original, op.target)
-                           : driver.IoctlCopyBlock(op.original, op.target);
-      if (s.ok()) {
-        op.done = true;
-        issued = true;
-      } else if (op.kind == Op::kEvict &&
-                 s.code() == StatusCode::kNotFound) {
-        op.done = true;  // already gone — nothing to do
-      } else if (s.code() == StatusCode::kAlreadyExists ||
-                 s.code() == StatusCode::kBusy ||
-                 s.code() == StatusCode::kResourceExhausted) {
-        deferred.insert(op.original);  // retry after a completion
-      } else {
-        op.done = true;  // permanently rejected (e.g. aborted-chain debris)
-        ++result.skipped;
-      }
-      if (driver.halted()) break;
-    }
-    if (!issued && driver.active_chain_count() == 0) {
+  // Keep up to kMaxInflightChains chains going, advancing the clock one
+  // completion at a time to top the window back up.
+  while (!driver.halted() && !executor.finished()) {
+    if (!executor.Issue(driver, kMaxInflightChains) &&
+        driver.active_chain_count() == 0) {
       // Nothing in flight and nothing issuable: the remaining ops are
       // wedged (slots pinned by aborted chains or quarantined forever).
-      for (Op& op : ops) {
-        if (!op.done) {
-          op.done = true;
-          ++result.skipped;
-        }
-      }
+      executor.SkipRest();
       break;
     }
     const std::optional<Micros> next =
@@ -235,34 +176,7 @@ void BlockArranger::RearrangeIncremental(
     }
   }
   driver.Drain();  // retire the tail of the window (no-op when halted)
-
-  // Account from the post-pass table: only moves whose table mutation
-  // actually landed count (aborted or halted chains do not).
-  const driver::BlockTable& table = driver.block_table();
-  for (SectorNo original : delta.evicts) {
-    if (!table.Lookup(original).has_value()) ++result.evicted;
-  }
-  // A spare-slot cycle break moves one block twice; its last planned hop
-  // is the real target.
-  std::unordered_map<SectorNo, SectorNo> final_slot;
-  final_slot.reserve(delta.shuffles.size());
-  for (const DeltaMove& m : delta.shuffles) {
-    final_slot[m.original] = region.SlotSector(m.to_slot);
-  }
-  for (const auto& [original, target] : final_slot) {
-    const std::optional<SectorNo> relocated = table.Lookup(original);
-    if (relocated.has_value() && *relocated == target) ++result.shuffled;
-  }
-  for (const DeltaMove& m : delta.admits) {
-    const std::optional<SectorNo> relocated = table.Lookup(m.original);
-    if (relocated.has_value() && *relocated == region.SlotSector(m.to_slot)) {
-      ++result.admitted;
-    }
-  }
-  // Legacy aliases: the incremental pass "cleans" what it evicts and
-  // "copies" what it admits.
-  result.cleaned = result.evicted;
-  result.copied = result.admitted;
+  executor.Account(driver.block_table(), result);
 }
 
 }  // namespace abr::placement

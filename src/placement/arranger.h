@@ -8,6 +8,7 @@
 #include "driver/adaptive_driver.h"
 #include "placement/delta_plan.h"
 #include "placement/policy.h"
+#include "placement/reserved_region.h"
 #include "util/status.h"
 
 namespace abr::placement {
@@ -56,14 +57,16 @@ struct ArrangerConfig {
   /// pipelined move chains). When clear, the pass cleans the whole
   /// reserved area and re-copies every selected block serially — the
   /// original algorithm, kept as the oracle the differential tests and
-  /// benchmarks compare against.
+  /// the array crash harness's twin proof compare against.
   bool incremental = true;
+};
 
-  /// Maximum move chains in flight at once on the incremental path (the
-  /// full-rebuild oracle stays strictly serial). Each chain is ~3 I/Os;
-  /// batching them lets the disk scheduler sort movement I/O the way it
-  /// sorts user traffic.
-  std::int32_t max_inflight = 4;
+/// The ranked blocks a pass may place, in rank order and at most one per
+/// reserved slot.
+struct EligibleBlocks {
+  std::vector<analyzer::HotBlock> blocks;
+  std::vector<SectorNo> originals;  // original start sector of blocks[i]
+  std::int32_t ineligible = 0;      // straddlers, blocks outside a partition
 };
 
 /// The user-level block arranger (Section 4.2): given the analyzer's ranked
@@ -96,6 +99,15 @@ class BlockArranger {
   static StatusOr<SectorNo> OriginalSector(
       const driver::AdaptiveDriver& driver, const analyzer::BlockId& id);
 
+  /// Filters `ranked` down to the blocks a pass may place, keeping rank
+  /// order and stopping once every slot of `region` has a block. Blocks
+  /// OriginalSector reports NotFound or OutOfRange for are counted as
+  /// ineligible; any other error is returned.
+  static StatusOr<EligibleBlocks> Eligible(
+      const driver::AdaptiveDriver& driver,
+      const std::vector<analyzer::HotBlock>& ranked,
+      const ReservedRegion& region);
+
   const PlacementPolicy& policy() const { return *policy_; }
   const ArrangerConfig& config() const { return config_; }
 
@@ -106,7 +118,8 @@ class BlockArranger {
                        const ReservedRegion& region,
                        ArrangeResult& result) const;
 
-  /// Delta plan + bounded pipelined move chains.
+  /// Delta plan run by a PlanExecutor, up to kMaxInflightChains chains in
+  /// flight.
   void RearrangeIncremental(driver::AdaptiveDriver& driver,
                             const std::vector<analyzer::HotBlock>& eligible,
                             const ReservedRegion& region,

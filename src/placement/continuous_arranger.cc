@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace abr::placement {
 
-ContinuousArranger::ContinuousArranger(const PlacementPolicy* policy,
-                                       ContinuousArrangerConfig config)
-    : policy_(policy), config_(config), threshold_(config.utility) {
+ContinuousArranger::ContinuousArranger(const PlacementPolicy* policy)
+    : policy_(policy) {
   assert(policy != nullptr);
 }
 
@@ -22,8 +22,6 @@ Status ContinuousArranger::OpenPlan(
     return Status::FailedPrecondition("disk is not set up for rearrangement");
   }
   driver_ = &driver;
-  ops_.clear();
-  first_pending_ = 0;
   rejected_ = 0;
   idle_windows_ = 0;
   preemptions_ = 0;
@@ -31,31 +29,10 @@ Status ContinuousArranger::OpenPlan(
   time_before_ = driver.internal_io_time();
   aborted_before_ =
       driver.IoctlReadStats(/*clear=*/false).faults.aborted_chains;
-  region_.emplace(ReservedRegion::FromDriver(driver));
-  const ReservedRegion& region = *region_;
-
-  // Eligibility filter, identical to the batch arranger's: rank order,
-  // bounded by the slot count, straddlers and bad addresses dropped.
-  std::int32_t ineligible = 0;
-  std::vector<analyzer::HotBlock> eligible;
-  std::vector<SectorNo> originals;
-  eligible.reserve(ranked.size());
-  originals.reserve(ranked.size());
-  for (const analyzer::HotBlock& hb : ranked) {
-    if (eligible.size() >= static_cast<std::size_t>(region.slot_count())) {
-      break;
-    }
-    StatusOr<SectorNo> original = BlockArranger::OriginalSector(driver, hb.id);
-    if (original.ok()) {
-      eligible.push_back(hb);
-      originals.push_back(*original);
-    } else if (original.status().code() == StatusCode::kNotFound ||
-               original.status().code() == StatusCode::kOutOfRange) {
-      ++ineligible;
-    } else {
-      return original.status();
-    }
-  }
+  const ReservedRegion region = ReservedRegion::FromDriver(driver);
+  StatusOr<EligibleBlocks> eligible =
+      BlockArranger::Eligible(driver, ranked, region);
+  if (!eligible.ok()) return eligible.status();
 
   // Price every action in the policy's desired layout and build the
   // admitted layout `desired`: an in-table block prefers staying put (zero
@@ -63,12 +40,18 @@ Status ContinuousArranger::OpenPlan(
   // new block is admitted only when its reference count pays for the copy
   // chain. Cooled blocks keep their slot when nobody wants it — evicting a
   // block no one references buys nothing.
-  const PlacementPlan plan = policy_->Place(eligible, region);
-  assert(plan.size() == eligible.size());
+  const PlacementPlan plan = policy_->Place(eligible->blocks, region);
+  assert(plan.size() == eligible->blocks.size());
+  // Serial lists its assignments by block number and interleaved along
+  // successor chains, so each block's slot is looked up by its id.
+  std::unordered_map<std::uint64_t, std::int32_t> slot_of;
+  slot_of.reserve(plan.size());
+  for (const SlotAssignment& a : plan) {
+    slot_of.emplace(analyzer::PackBlockId(a.id), a.slot);
+  }
   const MoveUtilityModel model(&driver.disk().spec().seek_model,
                                region.OrganPipeCylinderOrder().front());
   const double thr = threshold_.value();
-  const std::int32_t chain_ios = config_.utility.chain_ios;
   const disk::Geometry& geometry = driver.label().physical_geometry();
   const driver::BlockTable& table = driver.block_table();
   const SectorNo data_first = driver.reserved_data_first_sector();
@@ -88,36 +71,38 @@ Status ContinuousArranger::OpenPlan(
   std::unordered_set<SectorNo> placed;
   placed.reserve(table.size() + plan.size());
 
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const SlotAssignment& a = plan[i];
-    const SectorNo original = originals[i];
-    const std::int64_t refs = eligible[i].count;
+  // Rank order: hotter blocks claim contended slots first.
+  for (std::size_t i = 0; i < eligible->blocks.size(); ++i) {
+    const SectorNo original = eligible->originals[i];
+    const std::int64_t refs = eligible->blocks[i].count;
+    const std::int32_t want =
+        slot_of.at(analyzer::PackBlockId(eligible->blocks[i].id));
     const std::optional<SectorNo> relocated = table.Lookup(original);
     if (relocated.has_value()) {
       const std::int32_t cur_slot = static_cast<std::int32_t>(
           (*relocated - data_first) / block_sectors);
-      if (cur_slot == a.slot && !taken[static_cast<std::size_t>(a.slot)]) {
+      if (cur_slot == want && !taken[static_cast<std::size_t>(want)]) {
         desired.push_back(SlotTarget{original, cur_slot});
-      } else if (!taken[static_cast<std::size_t>(a.slot)] &&
+      } else if (!taken[static_cast<std::size_t>(want)] &&
                  model.AdmitShuffle(refs, region.SlotCylinder(cur_slot),
-                                    region.SlotCylinder(a.slot), thr,
-                                    chain_ios)) {
-        desired.push_back(SlotTarget{original, a.slot});
+                                    region.SlotCylinder(want), thr,
+                                    kChainIos)) {
+        desired.push_back(SlotTarget{original, want});
       } else if (!taken[static_cast<std::size_t>(cur_slot)]) {
         // Shuffle priced out (or slot contended): stay where it is.
-        if (cur_slot != a.slot) ++rejected_;
+        if (cur_slot != want) ++rejected_;
         desired.push_back(SlotTarget{original, cur_slot});
       } else {
         // Its slot was claimed by a hotter block: it must move somewhere.
         const std::int32_t slot =
-            taken[static_cast<std::size_t>(a.slot)] ? first_free() : a.slot;
+            taken[static_cast<std::size_t>(want)] ? first_free() : want;
         desired.push_back(SlotTarget{original, slot});
       }
     } else {
       if (model.AdmitCopy(refs, geometry.CylinderOf(original), thr,
-                          chain_ios)) {
+                          kChainIos)) {
         const std::int32_t slot =
-            taken[static_cast<std::size_t>(a.slot)] ? first_free() : a.slot;
+            taken[static_cast<std::size_t>(want)] ? first_free() : want;
         desired.push_back(SlotTarget{original, slot});
       } else {
         ++rejected_;
@@ -148,72 +133,29 @@ Status ContinuousArranger::OpenPlan(
     }
   }
 
-  chain_cost_ = model.MoveCost(chain_ios);
-  delta_ = BuildDeltaPlan(table, desired, region);
-  ops_.reserve(delta_.evicts.size() + delta_.shuffles.size() +
-               delta_.admits.size());
-  for (SectorNo original : delta_.evicts) {
-    ops_.push_back(Op{Op::kEvict, original, 0, false, false});
-  }
-  for (const DeltaMove& m : delta_.shuffles) {
-    ops_.push_back(Op{Op::kShuffle, m.original, region.SlotSector(m.to_slot),
-                      false, false});
-  }
-  for (const DeltaMove& m : delta_.admits) {
-    ops_.push_back(Op{Op::kAdmit, m.original, region.SlotSector(m.to_slot),
-                      false, false});
-  }
-  ineligible_ = ineligible;
+  chain_cost_ = model.MoveCost(kChainIos);
+  executor_ = PlanExecutor(BuildDeltaPlan(table, desired, region), region);
+  ineligible_ = eligible->ineligible;
   plan_open_ = true;
   return Status::Ok();
 }
 
 void ContinuousArranger::OnIdle(Micros horizon) {
   if (!plan_open_ || driver_ == nullptr || driver_->halted()) return;
-  driver::AdaptiveDriver& driver = *driver_;
-  const std::size_t window = static_cast<std::size_t>(
-      std::max<std::int32_t>(1, config_.max_inflight));
   // Chains serialize on the one disk arm, so the window drains in about
   // active * chain_cost_; issue only chains the horizon has room for —
   // one that spilled past the next known arrival would stall it.
-  const Micros budget = horizon - driver.now();
-  bool issued = false;
-  deferred_.clear();
-  while (first_pending_ < ops_.size() && ops_[first_pending_].done) {
-    ++first_pending_;
+  const Micros budget = horizon - driver_->now();
+  Micros fits = static_cast<Micros>(kMaxInflightChains);
+  if (budget < 0) {
+    fits = 0;
+  } else if (chain_cost_ > 0) {
+    fits = std::min(fits, budget / chain_cost_);
   }
-  for (std::size_t i = first_pending_; i < ops_.size(); ++i) {
-    Op& op = ops_[i];
-    if (op.done) continue;
-    if (driver.active_chain_count() >= window) break;
-    if (static_cast<Micros>(driver.active_chain_count() + 1) * chain_cost_ >
-        budget) {
-      break;
-    }
-    if (deferred_.contains(op.original)) continue;
-    Status s = op.kind == Op::kEvict
-                   ? driver.IoctlEvictBlock(op.original)
-                   : op.kind == Op::kShuffle
-                         ? driver.IoctlMoveBlock(op.original, op.target)
-                         : driver.IoctlCopyBlock(op.original, op.target);
-    if (s.ok()) {
-      op.done = true;
-      issued = true;
-    } else if (op.kind == Op::kEvict && s.code() == StatusCode::kNotFound) {
-      op.done = true;  // already gone — nothing to do
-    } else if (s.code() == StatusCode::kAlreadyExists ||
-               s.code() == StatusCode::kBusy ||
-               s.code() == StatusCode::kResourceExhausted) {
-      // Target still held (by an entry or an in-flight chain): retry in a
-      // later window, and keep this block's later ops behind it.
-      deferred_.insert(op.original);
-    } else {
-      op.done = true;  // permanently rejected (e.g. aborted-chain debris)
-      op.skipped = true;
-    }
-    if (driver.halted()) return;
+  if (executor_.Issue(*driver_, static_cast<std::size_t>(fits)) &&
+      !driver_->halted()) {
+    ++idle_windows_;
   }
-  if (issued) ++idle_windows_;
 }
 
 void ContinuousArranger::OnBusy() {
@@ -232,7 +174,6 @@ ArrangeResult ContinuousArranger::CloseDay() {
   if (!driver.halted()) driver.Drain();
 
   result.halted = driver.halted();
-  result.kept = delta_.kept;
   result.skipped = ineligible_;
   result.internal_ios = driver.internal_io_count() - ios_before_;
   result.io_time = driver.internal_io_time() - time_before_;
@@ -243,46 +184,13 @@ ArrangeResult ContinuousArranger::CloseDay() {
   result.aborted = static_cast<std::int32_t>(
       aborted_now >= aborted_before_ ? aborted_now - aborted_before_
                                      : aborted_now);
+  result.deferred =
+      static_cast<std::int32_t>(executor_.pending()) + rejected_;
+  executor_.Account(driver.block_table(), result);
 
-  std::int64_t executed = 0;
-  for (const Op& op : ops_) {
-    if (op.done && !op.skipped) ++executed;
-    if (op.skipped) ++result.skipped;
-    if (!op.done) ++result.deferred;
-  }
-  result.deferred += rejected_;
-
-  // Account from the table: only moves whose mutation landed count.
-  const driver::BlockTable& table = driver.block_table();
-  const ReservedRegion& region = *region_;
-  for (SectorNo original : delta_.evicts) {
-    if (!table.Lookup(original).has_value()) ++result.evicted;
-  }
-  std::unordered_map<SectorNo, SectorNo> final_slot;
-  final_slot.reserve(delta_.shuffles.size());
-  for (const DeltaMove& m : delta_.shuffles) {
-    final_slot[m.original] = region.SlotSector(m.to_slot);
-  }
-  for (const auto& [original, target] : final_slot) {
-    const std::optional<SectorNo> relocated = table.Lookup(original);
-    if (relocated.has_value() && *relocated == target) ++result.shuffled;
-  }
-  for (const DeltaMove& m : delta_.admits) {
-    const std::optional<SectorNo> relocated = table.Lookup(m.original);
-    if (relocated.has_value() &&
-        *relocated == region.SlotSector(m.to_slot)) {
-      ++result.admitted;
-    }
-  }
-  result.cleaned = result.evicted;
-  result.copied = result.admitted;
-
-  threshold_.Update(static_cast<std::int64_t>(ops_.size()), executed,
-                    rejected_);
+  threshold_.Update(executor_.size(), executor_.executed(), rejected_);
   plan_open_ = false;
-  ops_.clear();
-  first_pending_ = 0;
-  delta_ = DeltaPlan{};
+  executor_ = PlanExecutor{};
   return result;
 }
 

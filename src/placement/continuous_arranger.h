@@ -2,29 +2,17 @@
 #define ABR_PLACEMENT_CONTINUOUS_ARRANGER_H_
 
 #include <cstdint>
-#include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "analyzer/counter.h"
 #include "driver/adaptive_driver.h"
 #include "placement/arranger.h"
-#include "placement/delta_plan.h"
 #include "placement/move_utility.h"
+#include "placement/plan_executor.h"
 #include "placement/policy.h"
 #include "util/status.h"
 
 namespace abr::placement {
-
-/// Continuous arranger tuning.
-struct ContinuousArrangerConfig {
-  /// Maximum move chains in flight per idle window (same knob as the batch
-  /// arranger's pipelined executor).
-  std::int32_t max_inflight = 4;
-
-  /// Move-admission economics (see move_utility.h).
-  MoveUtilityConfig utility;
-};
 
 /// The always-on counterpart of BlockArranger: instead of one quiesced
 /// batch pass between days, it keeps a resumable delta plan open across
@@ -35,13 +23,13 @@ struct ContinuousArrangerConfig {
 ///                 price every action with MoveUtilityModel, and admit the
 ///                 moves that clear the current threshold into an op list.
 ///   OnIdle()    — driver callback on every idle window: issue up to
-///                 max_inflight move chains from the op list, but only as
-///                 many as the window's horizon has room for (a chain that
-///                 would spill past the next known arrival stalls it, so
-///                 it waits for a roomier window); an arriving
-///                 user request simply ends the window (the plan suspends
-///                 where it is, nothing is aborted) and the next idle
-///                 window resumes it.
+///                 kMaxInflightChains move chains from the op list, but
+///                 only as many as the window's horizon has room for (a
+///                 chain that would spill past the next known arrival
+///                 stalls it, so it waits for a roomier window); an
+///                 arriving user request simply ends the window (the plan
+///                 suspends where it is, nothing is aborted) and the next
+///                 idle window resumes it.
 ///   CloseDay()  — account what landed (same table-based truth as the
 ///                 batch pass), fold the outcome into the online threshold
 ///                 (finished early: lower the bar; could not finish: raise
@@ -54,8 +42,7 @@ struct ContinuousArrangerConfig {
 class ContinuousArranger final : public driver::IdleSink {
  public:
   /// The policy must outlive the arranger.
-  explicit ContinuousArranger(const PlacementPolicy* policy,
-                              ContinuousArrangerConfig config = {});
+  explicit ContinuousArranger(const PlacementPolicy* policy);
 
   /// Builds and admits the day's plan from the current table and ranked
   /// counts. Does not quiesce and does not move anything yet. Fails if a
@@ -83,28 +70,14 @@ class ContinuousArranger final : public driver::IdleSink {
   std::int64_t idle_windows() const { return idle_windows_; }
   /// User arrivals that suspended an in-flight plan this period.
   std::int64_t preemptions() const { return preemptions_; }
-  const ContinuousArrangerConfig& config() const { return config_; }
 
  private:
-  struct Op {
-    enum Kind { kEvict, kShuffle, kAdmit } kind;
-    SectorNo original;
-    SectorNo target;  // physical slot start (unused for evicts)
-    bool done = false;
-    bool skipped = false;  // permanently rejected by the driver
-  };
-
   const PlacementPolicy* policy_;
-  ContinuousArrangerConfig config_;
   UtilityThreshold threshold_;
 
   driver::AdaptiveDriver* driver_ = nullptr;
   bool plan_open_ = false;
-  std::vector<Op> ops_;
-  std::size_t first_pending_ = 0;  // ops_[0..first_pending_) are done
-  std::unordered_set<SectorNo> deferred_;  // per-window retry set (reused)
-  DeltaPlan delta_;
-  std::optional<ReservedRegion> region_;
+  PlanExecutor executor_;
   std::int32_t rejected_ = 0;    // candidates the threshold priced out
   std::int32_t ineligible_ = 0;  // straddlers / bad addresses in the rank list
   std::int64_t idle_windows_ = 0;

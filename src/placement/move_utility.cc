@@ -55,23 +55,14 @@ bool MoveUtilityModel::AdmitShuffle(std::int64_t refs, Cylinder from_cylinder,
                             chain_ios, from_cylinder, to_cylinder));
 }
 
-UtilityThreshold::UtilityThreshold(const MoveUtilityConfig& config)
-    : config_(config), value_(config.threshold) {
-  assert(config.min_threshold > 0.0);
-  assert(config.max_threshold >= config.min_threshold);
-  assert(config.step > 1.0);
-  assert(config.low_water > 0.0 && config.low_water <= 1.0);
-  value_ = std::clamp(value_, config_.min_threshold, config_.max_threshold);
-}
-
 void UtilityThreshold::Update(std::int64_t admitted, std::int64_t executed,
                               std::int64_t rejected) {
   if (admitted > 0 &&
       static_cast<double>(executed) <
-          config_.low_water * static_cast<double>(admitted)) {
-    value_ = std::min(value_ * config_.step, config_.max_threshold);
+          kLowWater * static_cast<double>(admitted)) {
+    value_ = std::min(value_ * kStep, kMax);
   } else if (executed >= admitted && rejected > 0) {
-    value_ = std::max(value_ / config_.step, config_.min_threshold);
+    value_ = std::max(value_ / kStep, kMin);
   }
   // Deadband: a finished plan with nothing rejected, or a nearly finished
   // one, holds the threshold still.

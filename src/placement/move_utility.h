@@ -8,36 +8,9 @@
 
 namespace abr::placement {
 
-/// Tuning of the continuous arranger's move-admission economics.
-struct MoveUtilityConfig {
-  /// Starting admission threshold: a move is admitted when its expected
-  /// per-day seek-time savings are at least `threshold` times its movement
-  /// I/O cost. 1.0 means "must pay for itself within a day".
-  double threshold = 1.0;
-
-  /// Clamp range for the online threshold adaptation. The floor is the
-  /// break-even point: below 1.0 a move consumes more disk time than it
-  /// saves within a day, so the threshold only rises above it when idle
-  /// time is scarce and relaxes back down once plans finish again.
-  double min_threshold = 1.0;
-  double max_threshold = 256.0;
-
-  /// Multiplicative adjustment step (CBR-style bucket rescaling: destor's
-  /// rewrite utility moves its admission boundary a bucket at a time; we
-  /// move a factor at a time).
-  double step = 2.0;
-
-  /// Hysteresis: the threshold is raised only when the executed fraction
-  /// of the admitted plan falls below this water mark, and lowered only
-  /// when the plan finished completely AND utility-rejected candidates
-  /// were left on the table. Between the two lies a deadband where the
-  /// threshold holds still, so it cannot oscillate on a stable workload.
-  double low_water = 0.85;
-
-  /// I/Os charged per admitted move (copy-in and clean-out chains are a
-  /// data read, a data write, and a table write).
-  std::int32_t chain_ios = 3;
-};
+/// I/Os charged per admitted move (copy-in and clean-out chains are a data
+/// read, a data write, and a table write).
+inline constexpr std::int32_t kChainIos = 3;
 
 /// Prices one candidate rearrangement action the way "Cost-Oblivious
 /// Storage Reallocation" frames it: expected seek-time savings from the
@@ -88,14 +61,33 @@ class MoveUtilityModel {
   Cylinder center_;
 };
 
-/// Online admission threshold with hysteresis. Each day's outcome nudges
-/// it: a plan the idle time could not finish means the arranger admitted
-/// too much (raise the bar); a plan that finished with rejected candidates
-/// still waiting means there was idle budget to spare (lower it); anything
-/// in between leaves it alone.
+/// Online admission threshold with hysteresis: a move is admitted when
+/// its expected per-day seek-time savings are at least value() times its
+/// movement I/O cost. Each day's outcome nudges it: a plan the idle time
+/// could not finish means the arranger admitted too much (raise the bar);
+/// a plan that finished with rejected candidates still waiting means there
+/// was idle budget to spare (lower it); anything in between leaves it
+/// alone.
 class UtilityThreshold {
  public:
-  explicit UtilityThreshold(const MoveUtilityConfig& config);
+  /// The floor, and the starting value: break-even, where a move must pay
+  /// for itself within a day. Below it a move consumes more disk time than
+  /// it saves, so the threshold only rises above it when idle time is
+  /// scarce and relaxes back down once plans finish again.
+  static constexpr double kMin = 1.0;
+  static constexpr double kMax = 256.0;
+
+  /// Multiplicative adjustment step (CBR-style bucket rescaling: destor's
+  /// rewrite utility moves its admission boundary a bucket at a time; we
+  /// move a factor at a time).
+  static constexpr double kStep = 2.0;
+
+  /// Hysteresis: the threshold is raised only when the executed fraction
+  /// of the admitted plan falls below this water mark, and lowered only
+  /// when the plan finished completely AND utility-rejected candidates
+  /// were left on the table. Between the two lies a deadband where the
+  /// threshold holds still, so it cannot oscillate on a stable workload.
+  static constexpr double kLowWater = 0.85;
 
   double value() const { return value_; }
 
@@ -105,8 +97,7 @@ class UtilityThreshold {
               std::int64_t rejected);
 
  private:
-  MoveUtilityConfig config_;
-  double value_;
+  double value_ = kMin;
 };
 
 }  // namespace abr::placement
