@@ -484,13 +484,20 @@ Cylinder AdaptiveDriver::ReservedSlotCylinder(std::int32_t slot) const {
   return label_.physical_geometry().CylinderOf(ReservedSlotSector(slot));
 }
 
-sched::IoRequest AdaptiveDriver::TableWriteOp() const {
+sched::IoRequest AdaptiveDriver::InternalOp(sched::IoType type,
+                                            SectorNo sector,
+                                            std::int64_t count) {
   sched::IoRequest op;
-  op.type = sched::IoType::kWrite;
-  op.sector = label_.reserved_first_sector();
-  op.sector_count = table_area_sectors_;
+  op.type = type;
+  op.sector = sector;
+  op.sector_count = count;
   op.internal = true;
   return op;
+}
+
+sched::IoRequest AdaptiveDriver::TableWriteOp() const {
+  return InternalOp(sched::IoType::kWrite, label_.reserved_first_sector(),
+                    table_area_sectors_);
 }
 
 void AdaptiveDriver::SaveTable() {
@@ -551,22 +558,31 @@ AdaptiveDriver::GeometryInfo AdaptiveDriver::IoctlGetGeometry() const {
   return info;
 }
 
-Status AdaptiveDriver::IoctlCopyBlock(SectorNo original, SectorNo target) {
+Status AdaptiveDriver::CheckRearranged() const {
   if (!attached_) return Status::FailedPrecondition("driver not attached");
   if (!label_.rearranged()) {
     return Status::FailedPrecondition("disk is not set up for rearrangement");
   }
-  const disk::Geometry& g = label_.physical_geometry();
-  if (!g.ContainsRange(original, block_sectors_)) {
+  return Status::Ok();
+}
+
+Status AdaptiveDriver::CheckOriginal(SectorNo original) const {
+  if (!label_.physical_geometry().ContainsRange(original, block_sectors_)) {
     return Status::OutOfRange("original block outside the disk");
   }
   const SectorNo res_first = label_.reserved_first_sector();
-  const SectorNo res_end = res_first + label_.reserved_sector_count();
-  if (original + block_sectors_ > res_first && original < res_end) {
+  if (original + block_sectors_ > res_first &&
+      original < res_first + label_.reserved_sector_count()) {
     return Status::InvalidArgument(
         "original block overlaps the reserved region");
   }
+  return Status::Ok();
+}
+
+Status AdaptiveDriver::CheckDataSlot(SectorNo target) const {
   const SectorNo data_first = reserved_data_first_sector();
+  const SectorNo res_end =
+      label_.reserved_first_sector() + label_.reserved_sector_count();
   if (target < data_first || target + block_sectors_ > res_end ||
       (target - data_first) % block_sectors_ != 0) {
     return Status::InvalidArgument("target is not a reserved-area slot");
@@ -574,85 +590,107 @@ Status AdaptiveDriver::IoctlCopyBlock(SectorNo original, SectorNo target) {
   if (IsSpareSlot(target)) {
     return Status::InvalidArgument("target is a remap spare slot");
   }
-  // In-flight copy chains insert their entries only when the target write
+  return Status::Ok();
+}
+
+bool AdaptiveDriver::TableFull() const {
+  // In-flight chains insert their entries only when the target write
   // completes, so validation must count reservations alongside the table:
   // otherwise two concurrent copies could claim one slot, or enough of
   // them could overflow the table's capacity when their inserts land.
-  if (block_table_->TargetInUse(target) || pending_targets_.contains(target)) {
+  return block_table_->size() +
+             static_cast<std::int32_t>(pending_targets_.size()) >=
+         block_table_->capacity();
+}
+
+Status AdaptiveDriver::IoctlCopyBlock(SectorNo original, SectorNo target) {
+  ABR_RETURN_IF_ERROR(CheckRearranged());
+  ABR_RETURN_IF_ERROR(CheckOriginal(original));
+  ABR_RETURN_IF_ERROR(CheckDataSlot(target));
+  if (SlotClaimed(target)) {
     return Status::AlreadyExists("target slot occupied");
   }
   if (block_table_->Lookup(original).has_value()) {
     return Status::AlreadyExists("block already rearranged");
   }
-  if (block_table_->size() +
-          static_cast<std::int32_t>(pending_targets_.size()) >=
-      block_table_->capacity()) {
-    return Status::ResourceExhausted("block table full");
-  }
+  if (TableFull()) return Status::ResourceExhausted("block table full");
   if (IsMoving(original)) {
     return Status::Busy("block move already in progress");
   }
-
   // Copying a block into the reserved area: read original, write target,
   // write the table (three I/O operations, Section 4.1.3).
+  BeginRelocation(original, target, /*source=*/std::nullopt,
+                  /*read_from=*/original, /*mark_dirty=*/false,
+                  &PerfMonitor::RecordCopyIn);
+  return Status::Ok();
+}
+
+void AdaptiveDriver::BeginRelocation(SectorNo original, SectorNo target,
+                                     std::optional<SectorNo> source,
+                                     std::optional<SectorNo> read_from,
+                                     bool mark_dirty,
+                                     void (PerfMonitor::*record)()) {
   MoveChain chain;
-  sched::IoRequest read_op;
-  read_op.type = sched::IoType::kRead;
-  read_op.sector = original;
-  read_op.sector_count = block_sectors_;
-  read_op.internal = true;
-  chain.ops.push_back(
-      ChainOp{read_op, [this, original, target]() {
-                disk_->CopyPayload(original, target, block_sectors_);
-              }});
-
-  sched::IoRequest write_op;
-  write_op.type = sched::IoType::kWrite;
-  write_op.sector = target;
-  write_op.sector_count = block_sectors_;
-  write_op.internal = true;
-  chain.ops.push_back(ChainOp{write_op, [this, original, target]() {
-                                pending_targets_.erase(target);
-                                TableInsert(original, target);
-                                SaveTable();
-                              }});
-
-  // Count the copy-in only when the whole chain lands: an abort between
-  // the entry insert and the table write rolls the insert back.
-  chain.ops.push_back(ChainOp{TableWriteOp(), [this]() {
-                                perf_monitor_.RecordCopyIn();
+  if (read_from.has_value()) {
+    chain.ops.push_back(
+        ChainOp{InternalOp(sched::IoType::kRead, *read_from, block_sectors_),
+                [this, from = *read_from, target]() {
+                  disk_->CopyPayload(from, target, block_sectors_);
+                }});
+  }
+  chain.ops.push_back(ChainOp{
+      InternalOp(sched::IoType::kWrite, target, block_sectors_),
+      [this, original, target, source, mark_dirty]() {
+        pending_targets_.erase(target);
+        if (source.has_value()) {
+          TableUpdateRelocated(original, target);
+        } else {
+          TableInsert(original, target);
+        }
+        if (mark_dirty) {
+          Status s = block_table_->MarkDirty(original);
+          assert(s.ok());
+          (void)s;
+        }
+        SaveTable();
+        if (source.has_value()) QuarantineSlot(*source);
+      }});
+  // Count the move only when the whole chain lands: an abort between the
+  // entry update and the table write rolls the update back.
+  chain.ops.push_back(ChainOp{TableWriteOp(), [this, record]() {
+                                (perf_monitor_.*record)();
                                 ReleaseDurableQuarantine();
                               }});
 
-  // Abort rollback: if the entry was already inserted (the target write
-  // completed but the table write failed for good), withdraw it. The
-  // original still holds current data — no redirected write can have
-  // happened while the block was held — so dropping the entry is safe.
-  // The vacated slot is quarantined: a concurrent chain's table write may
-  // already have committed the insert durably, so the slot must not carry
-  // another block's payload until the removal is durable too.
-  // Clean-out chains need no rollback: whether or not Remove ran, both
-  // locations hold the block's bytes at every abort point.
-  chain.on_abort = [this, original, target]() {
+  // Abort rollback: if the entry already points at the target (the target
+  // write completed but the table write failed for good), point it back
+  // at the source slot or withdraw it. The source, or the original for a
+  // new entry, still holds the block's current bytes — no redirected write
+  // can have happened while the block was held — and the source slot was
+  // quarantined on re-point, so nothing can have claimed it. The abandoned
+  // target is quarantined in turn: a concurrent chain's table write may
+  // already have committed the update durably. Clean-out chains need no
+  // rollback: whether or not Remove ran, both locations hold the block's
+  // bytes at every abort point.
+  chain.on_abort = [this, original, target, source]() {
     pending_targets_.erase(target);
-    std::optional<SectorNo> relocated = block_table_->Lookup(original);
-    if (relocated.has_value() && *relocated == target) {
+    const std::optional<SectorNo> relocated = block_table_->Lookup(original);
+    if (relocated != target) return;
+    if (source.has_value()) {
+      TableUpdateRelocated(original, *source);
+    } else {
       TableRemove(original);
-      SaveTable();
-      QuarantineSlot(target);
     }
+    SaveTable();
+    QuarantineSlot(target);
   };
 
   pending_targets_.insert(target);
   BeginChain(original, std::move(chain));
-  return Status::Ok();
 }
 
 Status AdaptiveDriver::IoctlClean() {
-  if (!attached_) return Status::FailedPrecondition("driver not attached");
-  if (!label_.rearranged()) {
-    return Status::FailedPrecondition("disk is not set up for rearrangement");
-  }
+  ABR_RETURN_IF_ERROR(CheckRearranged());
   if (!clean_queue_.empty()) {
     return Status::Busy("clean already in progress");
   }
@@ -697,28 +735,19 @@ AdaptiveDriver::MoveChain AdaptiveDriver::MakeCleanOutChain(
     // counts once the entry removal lands; a later table-write abort does
     // not undo the removal (both locations hold the block's bytes).
     const SectorNo relocated = entry.relocated;
-    sched::IoRequest read_op;
-    read_op.type = sched::IoType::kRead;
-    read_op.sector = relocated;
-    read_op.sector_count = block_sectors_;
-    read_op.internal = true;
     chain.ops.push_back(
-        ChainOp{read_op, [this, relocated, original]() {
+        ChainOp{InternalOp(sched::IoType::kRead, relocated, block_sectors_),
+                [this, relocated, original]() {
                   disk_->CopyPayload(relocated, original, block_sectors_);
                 }});
-
-    sched::IoRequest write_op;
-    write_op.type = sched::IoType::kWrite;
-    write_op.sector = original;
-    write_op.sector_count = block_sectors_;
-    write_op.internal = true;
-    const SectorNo vacated = relocated;
-    chain.ops.push_back(ChainOp{write_op, [this, original, vacated]() {
-                                  TableRemove(original);
-                                  perf_monitor_.RecordEviction();
-                                  SaveTable();
-                                  QuarantineSlot(vacated);
-                                }});
+    chain.ops.push_back(
+        ChainOp{InternalOp(sched::IoType::kWrite, original, block_sectors_),
+                [this, original, relocated]() {
+                  TableRemove(original);
+                  perf_monitor_.RecordEviction();
+                  SaveTable();
+                  QuarantineSlot(relocated);
+                }});
   } else {
     // Clean block: the original still holds current data; just drop the
     // entry and rewrite the table (one I/O operation).
@@ -733,94 +762,31 @@ AdaptiveDriver::MoveChain AdaptiveDriver::MakeCleanOutChain(
 }
 
 Status AdaptiveDriver::IoctlMoveBlock(SectorNo original, SectorNo target) {
-  if (!attached_) return Status::FailedPrecondition("driver not attached");
-  if (!label_.rearranged()) {
-    return Status::FailedPrecondition("disk is not set up for rearrangement");
-  }
-  std::optional<BlockTableEntry> entry = block_table_->LookupEntry(original);
-  if (!entry.has_value()) {
+  ABR_RETURN_IF_ERROR(CheckRearranged());
+  const std::optional<SectorNo> source = block_table_->Lookup(original);
+  if (!source.has_value()) {
     return Status::NotFound("block is not rearranged");
   }
-  const SectorNo res_end =
-      label_.reserved_first_sector() + label_.reserved_sector_count();
-  const SectorNo data_first = reserved_data_first_sector();
-  if (target < data_first || target + block_sectors_ > res_end ||
-      (target - data_first) % block_sectors_ != 0) {
-    return Status::InvalidArgument("target is not a reserved-area slot");
-  }
-  if (IsSpareSlot(target)) {
-    return Status::InvalidArgument("target is a remap spare slot");
-  }
-  if (target == entry->relocated) {
+  ABR_RETURN_IF_ERROR(CheckDataSlot(target));
+  if (target == *source) {
     return Status::InvalidArgument("block already occupies the target slot");
   }
-  if (block_table_->TargetInUse(target) || pending_targets_.contains(target)) {
+  if (SlotClaimed(target)) {
     return Status::AlreadyExists("target slot occupied");
   }
   if (IsMoving(original)) {
     return Status::Busy("block move already in progress");
   }
-
   // Intra-region shuffle: read the current slot, write the new slot,
   // re-point the table entry, write the table (three I/O operations). The
   // original location is untouched; the dirty bit travels with the entry.
-  const SectorNo source = entry->relocated;
-  MoveChain chain;
-  sched::IoRequest read_op;
-  read_op.type = sched::IoType::kRead;
-  read_op.sector = source;
-  read_op.sector_count = block_sectors_;
-  read_op.internal = true;
-  chain.ops.push_back(
-      ChainOp{read_op, [this, source, target]() {
-                disk_->CopyPayload(source, target, block_sectors_);
-              }});
-
-  sched::IoRequest write_op;
-  write_op.type = sched::IoType::kWrite;
-  write_op.sector = target;
-  write_op.sector_count = block_sectors_;
-  write_op.internal = true;
-  chain.ops.push_back(ChainOp{write_op, [this, original, source, target]() {
-                                pending_targets_.erase(target);
-                                TableUpdateRelocated(original, target);
-                                SaveTable();
-                                QuarantineSlot(source);
-                              }});
-
-  // Count the shuffle only when the whole chain lands (see the abort
-  // rollback below).
-  chain.ops.push_back(ChainOp{TableWriteOp(), [this]() {
-                                perf_monitor_.RecordShuffle();
-                                ReleaseDurableQuarantine();
-                              }});
-
-  // Abort rollback: if the entry was already re-pointed, point it back at
-  // the source slot, which still holds the block's current bytes — no
-  // redirected write can have happened while the block was held. The
-  // source slot is quarantined on re-point, so nothing can have claimed
-  // it; the abandoned target slot is quarantined in turn (a concurrent
-  // table write may have committed the re-point durably).
-  chain.on_abort = [this, original, source, target]() {
-    pending_targets_.erase(target);
-    std::optional<SectorNo> relocated = block_table_->Lookup(original);
-    if (relocated.has_value() && *relocated == target) {
-      TableUpdateRelocated(original, source);
-      SaveTable();
-      QuarantineSlot(target);
-    }
-  };
-
-  pending_targets_.insert(target);
-  BeginChain(original, std::move(chain));
+  BeginRelocation(original, target, source, /*read_from=*/source,
+                  /*mark_dirty=*/false, &PerfMonitor::RecordShuffle);
   return Status::Ok();
 }
 
 Status AdaptiveDriver::IoctlEvictBlock(SectorNo original) {
-  if (!attached_) return Status::FailedPrecondition("driver not attached");
-  if (!label_.rearranged()) {
-    return Status::FailedPrecondition("disk is not set up for rearrangement");
-  }
+  ABR_RETURN_IF_ERROR(CheckRearranged());
   std::optional<BlockTableEntry> entry = block_table_->LookupEntry(original);
   if (!entry.has_value()) {
     return Status::NotFound("block is not rearranged");
@@ -855,12 +821,8 @@ Status AdaptiveDriver::IoctlVerifyExtent(
   auto state = std::make_shared<VerifyState>();
 
   MoveChain chain;
-  sched::IoRequest read_op;
-  read_op.type = sched::IoType::kRead;
-  read_op.sector = sector;
-  read_op.sector_count = count;
-  read_op.internal = true;
-  chain.ops.push_back(ChainOp{read_op, nullptr});
+  chain.ops.push_back(
+      ChainOp{InternalOp(sched::IoType::kRead, sector, count), nullptr});
   chain.on_abort = [this, state, scrub]() {
     state->failed = true;
     state->bad = last_internal_error_sector_;
@@ -886,12 +848,8 @@ Status AdaptiveDriver::IoctlWriteExtent(SectorNo sector, std::int64_t count,
 
   auto failed = std::make_shared<bool>(false);
   MoveChain chain;
-  sched::IoRequest write_op;
-  write_op.type = sched::IoType::kWrite;
-  write_op.sector = sector;
-  write_op.sector_count = count;
-  write_op.internal = true;
-  chain.ops.push_back(ChainOp{write_op, nullptr});
+  chain.ops.push_back(
+      ChainOp{InternalOp(sched::IoType::kWrite, sector, count), nullptr});
   chain.on_abort = [failed]() { *failed = true; };
   chain.on_finish = [failed, done = std::move(done)]() {
     if (done) done(!*failed);
@@ -901,95 +859,27 @@ Status AdaptiveDriver::IoctlWriteExtent(SectorNo sector, std::int64_t count,
 }
 
 Status AdaptiveDriver::IoctlRepairBlock(SectorNo original, SectorNo target) {
-  if (!attached_) return Status::FailedPrecondition("driver not attached");
-  if (!label_.rearranged()) {
-    return Status::FailedPrecondition("disk is not set up for rearrangement");
-  }
-  const disk::Geometry& g = label_.physical_geometry();
-  if (!g.ContainsRange(original, block_sectors_)) {
-    return Status::OutOfRange("original block outside the disk");
-  }
-  const SectorNo res_first = label_.reserved_first_sector();
-  const SectorNo res_end = res_first + label_.reserved_sector_count();
-  if (original + block_sectors_ > res_first && original < res_end) {
-    return Status::InvalidArgument(
-        "original block overlaps the reserved region");
-  }
+  ABR_RETURN_IF_ERROR(CheckRearranged());
+  ABR_RETURN_IF_ERROR(CheckOriginal(original));
   if (!IsSpareSlot(target)) {
     return Status::InvalidArgument("target is not a spare slot");
   }
-  if (block_table_->TargetInUse(target) || pending_targets_.contains(target)) {
+  if (SlotClaimed(target)) {
     return Status::AlreadyExists("target slot occupied");
   }
   if (IsMoving(original)) {
     return Status::Busy("block move already in progress");
   }
-  std::optional<BlockTableEntry> entry = block_table_->LookupEntry(original);
-  if (!entry.has_value() &&
-      block_table_->size() +
-              static_cast<std::int32_t>(pending_targets_.size()) >=
-          block_table_->capacity()) {
+  const std::optional<SectorNo> source = block_table_->Lookup(original);
+  if (!source.has_value() && TableFull()) {
     return Status::ResourceExhausted("block table full");
   }
-
   // Two I/Os, neither of which touches the failing location: write the
   // spare slot (its payload was staged by the caller), then re-point or
   // insert the table entry — dirty, so nothing ever copies it back — and
   // rewrite the table.
-  MoveChain chain;
-  sched::IoRequest write_op;
-  write_op.type = sched::IoType::kWrite;
-  write_op.sector = target;
-  write_op.sector_count = block_sectors_;
-  write_op.internal = true;
-  if (entry.has_value()) {
-    const SectorNo source = entry->relocated;
-    chain.ops.push_back(ChainOp{write_op, [this, original, source, target]() {
-                                  pending_targets_.erase(target);
-                                  TableUpdateRelocated(original, target);
-                                  Status s = block_table_->MarkDirty(original);
-                                  assert(s.ok());
-                                  (void)s;
-                                  SaveTable();
-                                  QuarantineSlot(source);
-                                }});
-    // Abort rollback mirrors DKIOCBMOVE: re-point at the source slot,
-    // which is quarantined and still holds the last-known-good bytes.
-    chain.on_abort = [this, original, source, target]() {
-      pending_targets_.erase(target);
-      std::optional<SectorNo> relocated = block_table_->Lookup(original);
-      if (relocated.has_value() && *relocated == target) {
-        TableUpdateRelocated(original, source);
-        SaveTable();
-        QuarantineSlot(target);
-      }
-    };
-  } else {
-    chain.ops.push_back(ChainOp{write_op, [this, original, target]() {
-                                  pending_targets_.erase(target);
-                                  TableInsert(original, target);
-                                  Status s = block_table_->MarkDirty(original);
-                                  assert(s.ok());
-                                  (void)s;
-                                  SaveTable();
-                                }});
-    chain.on_abort = [this, original, target]() {
-      pending_targets_.erase(target);
-      std::optional<SectorNo> relocated = block_table_->Lookup(original);
-      if (relocated.has_value() && *relocated == target) {
-        TableRemove(original);
-        SaveTable();
-        QuarantineSlot(target);
-      }
-    };
-  }
-  chain.ops.push_back(ChainOp{TableWriteOp(), [this]() {
-                                perf_monitor_.RecordRemap();
-                                ReleaseDurableQuarantine();
-                              }});
-
-  pending_targets_.insert(target);
-  BeginChain(original, std::move(chain));
+  BeginRelocation(original, target, source, /*read_from=*/std::nullopt,
+                  /*mark_dirty=*/true, &PerfMonitor::RecordRemap);
   return Status::Ok();
 }
 

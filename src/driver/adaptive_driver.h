@@ -406,6 +406,30 @@ class AdaptiveDriver : private sim::CompletionSink {
     return moving_.contains(original);
   }
 
+  /// True iff reserved slot `slot` holds an entry, is the target of an
+  /// in-flight chain, or is quarantined.
+  bool SlotClaimed(SectorNo slot) const {
+    return block_table_->TargetInUse(slot) || pending_targets_.contains(slot);
+  }
+
+  /// True iff the entries plus the in-flight and quarantined claims fill
+  /// the table's capacity.
+  bool TableFull() const;
+
+  // Validation shared by the block-movement ioctls; each keeps its own
+  // order of checks, because callers retry by error code.
+
+  /// FailedPrecondition unless attached to a rearranged disk.
+  Status CheckRearranged() const;
+
+  /// OutOfRange or InvalidArgument unless a block starting at `original`
+  /// lies on the disk and outside the reserved region.
+  Status CheckOriginal(SectorNo original) const;
+
+  /// InvalidArgument unless `target` starts a reserved-area data slot that
+  /// is not a remap spare.
+  Status CheckDataSlot(SectorNo target) const;
+
   // Debug checks of the translation fast path against the direct probes;
   // asserted at its two exits, so they run on every translation.
 
@@ -438,6 +462,23 @@ class AdaptiveDriver : private sim::CompletionSink {
   /// region shuffle). The presence filter is keyed by originals, so only
   /// the translation cache needs invalidating.
   void TableUpdateRelocated(SectorNo original, SectorNo relocated);
+
+  /// Starts the relocation chain that moves the entry for `original` to
+  /// reserved slot `target` (DKIOCBCOPY, DKIOCBMOVE, DKIOCBREPAIR):
+  ///  - when `read_from` is set, a read of it that copies its payload to
+  ///    `target`;
+  ///  - a write of `target` that re-points the entry there from `source`,
+  ///    or inserts it when `source` is empty, marks it dirty when
+  ///    `mark_dirty` is set, saves the table, and quarantines `source`;
+  ///  - a table write that calls `record` (the move counter) and releases
+  ///    the quarantined slots.
+  /// Its one rollback, on abort: if the entry points at `target`, point it
+  /// back at `source` or withdraw it, save the table, and quarantine
+  /// `target`.
+  void BeginRelocation(SectorNo original, SectorNo target,
+                       std::optional<SectorNo> source,
+                       std::optional<SectorNo> read_from, bool mark_dirty,
+                       void (PerfMonitor::*record)());
 
   /// Builds the clean-out chain for one table entry (shared by the full
   /// DKIOCCLEAN pump and the single-block DKIOCBEVICT). For a clean entry
@@ -475,6 +516,11 @@ class AdaptiveDriver : private sim::CompletionSink {
 
   /// Submits one internal I/O belonging to chain `key`.
   void SubmitInternal(SectorNo key, sched::IoRequest op);
+
+  /// Builds an internal request for the physical extent
+  /// [sector, sector+count).
+  static sched::IoRequest InternalOp(sched::IoType type, SectorNo sector,
+                                     std::int64_t count);
 
   /// Builds an internal request for the on-disk table area.
   sched::IoRequest TableWriteOp() const;
