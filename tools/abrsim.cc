@@ -732,9 +732,22 @@ int CmdOnOff(Flags& flags) {
 // its own config, and rows are built in config order, so the printed
 // tables are byte-identical for every --jobs value.
 
+/// sweep and policy rearrange between days with batch passes, so a
+/// --continuous run would print arranger=continuous over batch rows.
+/// Returns false (after printing a one-line error) if the flag is set.
+bool RejectContinuous(Flags& flags, const char* command) {
+  if (!flags.Has("continuous")) return true;
+  std::fprintf(stderr,
+               "--continuous is not supported by %s (it rearranges with "
+               "batch passes)\n",
+               command);
+  return false;
+}
+
 int CmdSweep(Flags& flags) {
   Engine engine;
   if (!ParseEngine(flags, /*with_array=*/false, &engine)) return 2;
+  if (!RejectContinuous(flags, "sweep")) return 2;
   std::vector<std::int32_t> points;
   const std::string list = flags.Get("blocks-list", "0,25,100,400,1018");
   for (std::size_t pos = 0; pos <= list.size();) {
@@ -800,6 +813,7 @@ int CmdSweep(Flags& flags) {
 int CmdPolicy(Flags& flags) {
   Engine engine;
   if (!ParseEngine(flags, /*with_array=*/false, &engine)) return 2;
+  if (!RejectContinuous(flags, "policy")) return 2;
   core::ExperimentConfig base = BuildConfig(flags);
   const std::int32_t days = flags.GetCount("days", 2, 1);
   const std::int32_t jobs = flags.GetCount("jobs", 1, 1);
@@ -1189,7 +1203,8 @@ void Usage() {
       "    instead of the incremental delta plan (also for crashday)\n"
       "  --continuous  utility-priced plans executed during disk idle\n"
       "    time instead of quiesced daily batch passes (onoff serial and\n"
-      "    sharded, and crashday; batch remains the default oracle)\n"
+      "    sharded, and crashday; batch remains the default oracle; sweep\n"
+      "    and policy reject it)\n"
       "sweep only: --blocks-list=a,b,c\n"
       "sweep/policy: --jobs=N  run grid points on N worker threads\n"
       "  (output is byte-identical for every N; N=1 runs inline)\n"
