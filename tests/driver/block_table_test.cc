@@ -276,7 +276,9 @@ TEST(BlockTableTest, ManyEntriesRoundTrip) {
   BlockTable t(4096);
   for (int i = 0; i < 4096; ++i) {
     ASSERT_TRUE(t.Insert(i * 16, 1000000 + i * 16).ok());
-    if (i % 3 == 0) ASSERT_TRUE(t.MarkDirty(i * 16).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(t.MarkDirty(i * 16).ok());
+    }
   }
   StatusOr<BlockTable> loaded = BlockTable::Deserialize(t.Serialize(), 4096);
   ASSERT_TRUE(loaded.ok());

@@ -78,7 +78,9 @@ TEST_P(ZipfThetaTest, HeadMassGrowsWithTheta) {
   const double top10 = z.Cdf(9);
   EXPECT_GE(top10, 0.01 - 1e-12);
   EXPECT_LE(top10, 1.0);
-  if (theta > 0.0) EXPECT_GT(top10, 0.01);
+  if (theta > 0.0) {
+    EXPECT_GT(top10, 0.01);
+  }
 }
 
 TEST_P(ZipfThetaTest, SamplesInRange) {
