@@ -134,15 +134,17 @@ echo "adaptive epoch (--epoch=auto) byte-identical across --jobs and vs fixed"
 if [[ "$NO_ASAN" == 1 ]]; then
   echo "== asan: skipped (--no-asan) =="
 else
-  echo "== asan+ubsan: fault/crash/driver/array tests + crashday --quick =="
+  echo "== asan+ubsan: fault/crash/driver/placement/array tests + crashday --quick =="
   # The fault tests exercise truncated table images, torn writes, and
   # mid-chain aborts — exactly where overflow and lifetime bugs would hide.
   cmake -B build-asan -S . -DABR_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target \
     fault_plan_test faulty_disk_test ack_ledger_test crash_harness_test \
-    adaptive_driver_test block_table_test table_store_test array_device_test \
-    array_harness_test seek_kernel_diff_test flat_queue_batch_test \
-    advance_kernel_diff_test abrsim bench_arrange >/dev/null
+    adaptive_driver_test relocation_rollback_test block_table_test \
+    table_store_test arranger_test arranger_diff_test continuous_arranger_test \
+    delta_plan_test array_device_test array_harness_test \
+    seek_kernel_diff_test flat_queue_batch_test advance_kernel_diff_test \
+    abrsim bench_arrange >/dev/null
   ./build-asan/tests/fault_plan_test
   ./build-asan/tests/faulty_disk_test
   ./build-asan/tests/ack_ledger_test
@@ -150,6 +152,13 @@ else
   ./build-asan/tests/adaptive_driver_test
   ./build-asan/tests/block_table_test
   ./build-asan/tests/table_store_test
+  ./build-asan/tests/relocation_rollback_test
+  # The plan executor's cursor and op list, and the delta planner, are
+  # index arithmetic over vectors sized by the plan.
+  ./build-asan/tests/arranger_test
+  ./build-asan/tests/arranger_diff_test
+  ./build-asan/tests/continuous_arranger_test
+  ./build-asan/tests/delta_plan_test
   ./build-asan/tests/array_device_test
   ./build-asan/tests/array_harness_test
   # The hot-loop kernel rewrites (seek LUT, rotation anchor, batched
