@@ -39,7 +39,6 @@
 
 #include "array/array_device.h"
 #include "bench/bench_util.h"
-#include "bench/onoff_common.h"
 #include "core/array_day.h"
 #include "core/experiment.h"
 #include "core/onoff.h"
