@@ -45,8 +45,7 @@ StatusOr<placement::ArrangeResult> FileTemperatureArranger::Rearrange(
     return Status::FailedPrecondition("disk is not set up for rearrangement");
   }
   placement::ArrangeResult result;
-  const std::int64_t ios_before = driver.internal_io_count();
-  const Micros time_before = driver.internal_io_time();
+  const placement::PassLedger ledger = placement::PassLedger::Open(driver);
 
   result.cleaned = driver.block_table().size();
   ABR_RETURN_IF_ERROR(driver.IoctlClean());
@@ -81,9 +80,7 @@ StatusOr<placement::ArrangeResult> FileTemperatureArranger::Rearrange(
     }
   }
 
-  result.internal_ios = driver.internal_io_count() - ios_before;
-  result.io_time = driver.internal_io_time() - time_before;
-  return result;
+  return ledger.Close(driver, result);
 }
 
 }  // namespace abr::baselines

@@ -994,6 +994,7 @@ void AdaptiveDriver::AbortChain(SectorNo key) {
   assert(it != moving_.end());
   MoveChain& chain = it->second;
   perf_monitor_.RecordAbortedChain();
+  ++aborted_chain_count_;
   chain.ops.clear();
   chain.active_after = nullptr;
   if (chain.on_abort) {

@@ -316,6 +316,9 @@ class AdaptiveDriver : private sim::CompletionSink {
   /// Total disk time consumed by driver-generated I/O.
   Micros internal_io_time() const { return internal_io_time_; }
 
+  /// Move chains aborted and rolled back; like the two above, never reset.
+  std::int64_t aborted_chain_count() const { return aborted_chain_count_; }
+
   /// Number of requests currently held back because their block is moving.
   std::size_t held_request_count() const;
 
@@ -553,6 +556,7 @@ class AdaptiveDriver : private sim::CompletionSink {
   std::int64_t next_request_id_ = 1;
   std::int64_t internal_io_count_ = 0;
   Micros internal_io_time_ = 0;
+  std::int64_t aborted_chain_count_ = 0;
 
   // First failing sector of the most recent unrecoverable internal error;
   // read by verify chains' on_abort so their completion callback can

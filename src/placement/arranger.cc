@@ -42,19 +42,7 @@ StatusOr<ArrangeResult> BlockArranger::Rearrange(
     return Status::FailedPrecondition("disk is not set up for rearrangement");
   }
   ArrangeResult result;
-  const std::int64_t ios_before = driver.internal_io_count();
-  const Micros time_before = driver.internal_io_time();
-  const std::int64_t aborted_before =
-      driver.IoctlReadStats(/*clear=*/false).faults.aborted_chains;
-  auto finish = [&]() {
-    result.halted = driver.halted();
-    result.aborted = static_cast<std::int32_t>(
-        driver.IoctlReadStats(/*clear=*/false).faults.aborted_chains -
-        aborted_before);
-    result.internal_ios = driver.internal_io_count() - ios_before;
-    result.io_time = driver.internal_io_time() - time_before;
-    return result;
-  };
+  const PassLedger ledger = PassLedger::Open(driver);
 
   // Quiesce first: rearrangement runs in an idle window (the paper's
   // nightly pass). Queued requests were translated against the pre-pass
@@ -62,7 +50,7 @@ StatusOr<ArrangeResult> BlockArranger::Rearrange(
   // clean/copy chain from racing a stale-translated write and stranding
   // its acknowledged data at the old location.
   driver.Drain();
-  if (driver.halted()) return finish();
+  if (driver.halted()) return ledger.Close(driver, result);
 
   const ReservedRegion region = ReservedRegion::FromDriver(driver);
   StatusOr<EligibleBlocks> eligible = Eligible(driver, ranked, region);
@@ -75,7 +63,7 @@ StatusOr<ArrangeResult> BlockArranger::Rearrange(
     ABR_RETURN_IF_ERROR(
         RearrangeFull(driver, eligible->blocks, region, result));
   }
-  return finish();
+  return ledger.Close(driver, result);
 }
 
 StatusOr<EligibleBlocks> BlockArranger::Eligible(

@@ -50,6 +50,31 @@ struct ArrangeResult {
   }
 };
 
+/// What one pass cost the driver: Open() notes its internal-I/O, I/O-time
+/// and aborted-chain counters, and Close() returns the pass's result with
+/// their growth and the halted flag filled in. The counters only grow, so
+/// a stats read-and-clear in mid-pass (the day runners clear before a
+/// continuous day closes) loses nothing.
+struct PassLedger {
+  std::int64_t ios = 0;
+  Micros time = 0;
+  std::int64_t aborted = 0;
+
+  static PassLedger Open(const driver::AdaptiveDriver& driver) {
+    return {driver.internal_io_count(), driver.internal_io_time(),
+            driver.aborted_chain_count()};
+  }
+  ArrangeResult Close(const driver::AdaptiveDriver& driver,
+                      ArrangeResult result) const {
+    result.halted = driver.halted();
+    result.internal_ios = driver.internal_io_count() - ios;
+    result.io_time = driver.internal_io_time() - time;
+    result.aborted =
+        static_cast<std::int32_t>(driver.aborted_chain_count() - aborted);
+    return result;
+  }
+};
+
 /// Arranger tuning.
 struct ArrangerConfig {
   /// When set (the default) a pass diffs the current block table against

@@ -25,10 +25,7 @@ Status ContinuousArranger::OpenPlan(
   rejected_ = 0;
   idle_windows_ = 0;
   preemptions_ = 0;
-  ios_before_ = driver.internal_io_count();
-  time_before_ = driver.internal_io_time();
-  aborted_before_ =
-      driver.IoctlReadStats(/*clear=*/false).faults.aborted_chains;
+  ledger_ = PassLedger::Open(driver);
   const ReservedRegion region = ReservedRegion::FromDriver(driver);
   StatusOr<EligibleBlocks> eligible =
       BlockArranger::Eligible(driver, ranked, region);
@@ -173,17 +170,7 @@ ArrangeResult ContinuousArranger::CloseDay() {
   // dropped and replanned from fresh counts tomorrow.
   if (!driver.halted()) driver.Drain();
 
-  result.halted = driver.halted();
   result.skipped = ineligible_;
-  result.internal_ios = driver.internal_io_count() - ios_before_;
-  result.io_time = driver.internal_io_time() - time_before_;
-  const std::int64_t aborted_now =
-      driver.IoctlReadStats(/*clear=*/false).faults.aborted_chains;
-  // The day's stats clear may have reset the counter after OpenPlan
-  // snapped its baseline; all aborts since then are ours either way.
-  result.aborted = static_cast<std::int32_t>(
-      aborted_now >= aborted_before_ ? aborted_now - aborted_before_
-                                     : aborted_now);
   result.deferred =
       static_cast<std::int32_t>(executor_.pending()) + rejected_;
   executor_.Account(driver.block_table(), result);
@@ -191,7 +178,7 @@ ArrangeResult ContinuousArranger::CloseDay() {
   threshold_.Update(executor_.size(), executor_.executed(), rejected_);
   plan_open_ = false;
   executor_ = PlanExecutor{};
-  return result;
+  return ledger_.Close(driver, result);
 }
 
 }  // namespace abr::placement

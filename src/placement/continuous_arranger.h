@@ -85,10 +85,7 @@ class ContinuousArranger final : public driver::IdleSink {
   /// Estimated disk time one admitted chain consumes (from the utility
   /// model at OpenPlan); OnIdle fits chains into its horizon with it.
   Micros chain_cost_ = 0;
-  // Baselines snapped at OpenPlan so CloseDay reports only this plan's I/O.
-  std::int64_t ios_before_ = 0;
-  Micros time_before_ = 0;
-  std::int64_t aborted_before_ = 0;
+  PassLedger ledger_;  // opened by OpenPlan, closed by CloseDay
 };
 
 }  // namespace abr::placement
