@@ -134,17 +134,17 @@ echo "adaptive epoch (--epoch=auto) byte-identical across --jobs and vs fixed"
 if [[ "$NO_ASAN" == 1 ]]; then
   echo "== asan: skipped (--no-asan) =="
 else
-  echo "== asan+ubsan: fault/crash/driver/placement/array tests + crashday --quick =="
+  echo "== asan+ubsan: fault/crash/driver/placement/array tests + crashday --quick + bench_paper =="
   # The fault tests exercise truncated table images, torn writes, and
   # mid-chain aborts — exactly where overflow and lifetime bugs would hide.
   cmake -B build-asan -S . -DABR_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target \
     fault_plan_test faulty_disk_test ack_ledger_test crash_harness_test \
-    adaptive_driver_test relocation_rollback_test block_table_test \
-    table_store_test arranger_test arranger_diff_test continuous_arranger_test \
-    delta_plan_test array_device_test array_harness_test \
-    seek_kernel_diff_test flat_queue_batch_test advance_kernel_diff_test \
-    abrsim bench_arrange >/dev/null
+    adaptive_driver_test relocation_rollback_test pass_ledger_test \
+    block_table_test table_store_test arranger_test arranger_diff_test \
+    continuous_arranger_test delta_plan_test array_device_test \
+    array_harness_test seek_kernel_diff_test flat_queue_batch_test \
+    advance_kernel_diff_test abrsim bench_arrange bench_paper >/dev/null
   ./build-asan/tests/fault_plan_test
   ./build-asan/tests/faulty_disk_test
   ./build-asan/tests/ack_ledger_test
@@ -153,6 +153,7 @@ else
   ./build-asan/tests/block_table_test
   ./build-asan/tests/table_store_test
   ./build-asan/tests/relocation_rollback_test
+  ./build-asan/tests/pass_ledger_test
   # The plan executor's cursor and op list, and the delta planner, are
   # index arithmetic over vectors sized by the plan.
   ./build-asan/tests/arranger_test
@@ -181,6 +182,13 @@ else
   # chains and deferred-retry paths under ASan. Run from the build dir so
   # its BENCH_arrange.json does not clobber the repo-root baseline.
   (cd build-asan && ./bench/bench_arrange --quick)
+  # The file-server day and the raw physio path, which no test above runs:
+  # a system-fs off/on day on both drives (Table 3), and a dump-style raw
+  # scan of the whole partition split by physio and redirected around the
+  # reserved region. Each must print its golden's bytes.
+  ./build-asan/bench/bench_paper table3 | cmp - tests/golden/paper/table3.txt
+  ./build-asan/bench/bench_paper ablation_backup | \
+    cmp - tests/golden/paper/ablation_backup.txt
 fi
 
 if [[ "$NO_TSAN" == 1 ]]; then
